@@ -17,7 +17,15 @@ objective rows and are decided through the Gordan/Motzkin alternative on a
 homogenized matrix, whose primal witness (ζ, ξ) with ξ < 0 rescales to the
 kernel η = −ζ/ξ.
 
-`certify_domain` sweeps a sampler's point set pairwise, and
+`certify_domain` sweeps every ordered pair of a sampler's point set, but
+decides each base point x̄ once against all points x: one substitution pass
+tries the cheap kernels η = 0 and η = x − x̄ on every pair; if pairs remain,
+one Gordan/Motzkin decision on Jf(x̄) either yields a descent direction that
+scales into a kernel for all of them or shows x̄ (KT-)stationary. A pair can
+fail only at a stationary base point (Craven & Glover 1985), so only the
+pairs still open there go to the single-pair certifier, whose verdicts are
+reported unchanged.
+
 `theorem_crosscheck` confronts the sampled verdicts with the stationarity
 and weighting scans: stationary-points-are-global must agree with
 all-pairs-kernel, and unique-globality must agree with the strict kinds.
@@ -56,6 +64,7 @@ from .simplex import (
     VAR_NONNEG,
     FarkasCertificate,
     FeasiblePoint,
+    LpOutcome,
     LpProblem,
     LpStatus,
     NumericalBreakdownError,
@@ -153,18 +162,14 @@ def _candidate_ok(
     return bool(np.all(matrix @ eta <= rhs))
 
 
-def _certificate_cleanup(
-    pbar: EvaluatedPoint,
-    delta: np.ndarray,
-    with_active: bool,
-    fallback: DualCertificate,
-    tol: ToleranceConfig,
-) -> DualCertificate:
-    """Canonicalize a failure certificate by minimizing λ·Δf over all valid ones.
+def _weighted_change_lp(
+    pbar: EvaluatedPoint, delta: np.ndarray, with_active: bool, tol: ToleranceConfig
+) -> LpOutcome:
+    """Solve min λ·Δf over Λ(x̄) = {λ ≧ 0, Σλ = 1, μ ≧ 0 : λᵀJf + μᵀJg_A = 0}.
 
-    The minimum is the most violated weighting gap the pair admits, making
-    the reported certificate deterministic and maximally informative; if the
-    cleanup LP stumbles numerically the Farkas-derived fallback is returned.
+    Variables are (λ, μ). The dual values (y, w) of the optimum satisfy
+    Jf·y + w ≦ Δf and Jg_A·y ≦ 0 with w equal to the optimum, so a positive
+    optimum makes y a kernel with margin w.
     """
     n, s = pbar.objective_jacobian.shape
     jac_active = pbar.active_jacobian if with_active else np.zeros((0, s))
@@ -182,9 +187,26 @@ def _certificate_cleanup(
         row_kinds=(ROW_EQ,) * (s + 1),
         variable_bounds=(VAR_NONNEG,) * (n + r),
     )
-    outcome = solve_lp(lp, tol)
+    return solve_lp(lp, tol)
+
+
+def _certificate_cleanup(
+    outcome: LpOutcome,
+    delta: np.ndarray,
+    with_active: bool,
+    fallback: DualCertificate,
+    tol: ToleranceConfig,
+) -> DualCertificate:
+    """Canonicalize a failure certificate by minimizing λ·Δf over all valid ones.
+
+    `outcome` is `_weighted_change_lp`'s solution. The minimum is the most
+    violated weighting gap the pair admits, making the reported certificate
+    deterministic and maximally informative; if the cleanup LP stumbles
+    numerically the Farkas-derived fallback is returned.
+    """
     if outcome.status is not LpStatus.OPTIMAL:
         return fallback
+    n = delta.size
     lam = np.clip(outcome.primal_solution[:n], 0.0, None)
     mu = np.clip(outcome.primal_solution[n:], 0.0, None)
     total = lam.sum()
@@ -255,7 +277,13 @@ def _weak_pair(
         mu=(mu_raw / total) if with_active else None,
         violation=float((lam_raw / total) @ delta),
     )
-    certificate = _certificate_cleanup(pbar, delta, with_active, fallback, tol)
+    certificate = _certificate_cleanup(
+        _weighted_change_lp(pbar, delta, with_active, tol),
+        delta,
+        with_active,
+        fallback,
+        tol,
+    )
     return PairVerdict(
         kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate
     )
@@ -319,12 +347,31 @@ def _strict_pair(
         raise NumericalBreakdownError("strict dual witness has empty weight block")
     lam = lam_raw / total
     mu = (dual_mu_raw / total) if with_active else None
+    certificate = DualCertificate(lam=lam, mu=mu, violation=float(lam @ delta))
+    if certificate.violation > 0:
+        # a kernel margin under the pivot tolerance reads as the dual branch;
+        # min λ·Δf over Λ(x̄) either refutes with a nonpositive value or is
+        # that margin, with the kernel as its dual solution
+        cleanup = _weighted_change_lp(pbar, delta, with_active, tol)
+        if (
+            cleanup.status is LpStatus.OPTIMAL
+            and float(cleanup.objective_value) > 0
+        ):
+            return PairVerdict(
+                kind=kind,
+                xbar=pbar.x,
+                x=p.x,
+                kernel=KernelWitness(
+                    eta=cleanup.dual_values[:s],
+                    margin=float(cleanup.objective_value),
+                ),
+                certificate=None,
+            )
+        certificate = _certificate_cleanup(
+            cleanup, delta, with_active, certificate, tol
+        )
     return PairVerdict(
-        kind=kind,
-        xbar=pbar.x,
-        x=p.x,
-        kernel=None,
-        certificate=DualCertificate(lam=lam, mu=mu, violation=float(lam @ delta)),
+        kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate
     )
 
 
@@ -410,6 +457,80 @@ class DomainVerdict:
     kernels: tuple[PairVerdict, ...]
 
 
+def _base_point_kernels(
+    pbar: EvaluatedPoint,
+    points: np.ndarray,
+    values: np.ndarray,
+    pending: np.ndarray,
+    kind: InvexityKind,
+    tol: ToleranceConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernels for the pairs (x̄, x) one substitution pass can verify.
+
+    `pending` masks the rows of `points` to decide. Candidates are tried in
+    turn on every still-open pair: η = 0 (nonstrict kinds only), then
+    η = x − x̄, as `_weak_pair` does. When pairs remain open, one
+    Gordan/Motzkin decision on Jf(x̄) (and Jg_A(x̄)) either gives a descent
+    direction d with Jf·d < 0 and Jg_A·d ≦ 0, so that η = t·d with
+    t = max(0, maxᵢ (1 − Δfᵢ) / (−Jfᵢ·d)) leaves every objective slack at
+    least 1, or shows x̄ stationary. A candidate counts only where it passes
+    the substitution: every active row Jg_A·η ≦ 0, and objective slack
+    Δf − Jf·η ≧ 0 (nonstrict) or above `tol.strict` (strict kinds).
+
+    Returns (unresolved, etas, margins) over the rows of `points`: the
+    pending pairs that still need the single-pair certifier, and the kernel
+    and its margin for every other pending pair.
+    """
+    jac = pbar.objective_jacobian
+    jac_active = pbar.active_jacobian if kind.is_kt else np.zeros((0, jac.shape[1]))
+    delta = values - pbar.objective_values
+    unresolved = pending.copy()
+    etas = np.zeros_like(points)
+    margins = np.zeros(len(points))
+
+    def substitute(candidates: np.ndarray) -> None:
+        products = candidates @ jac.T
+        slack = np.min(delta - products, axis=1)
+        if kind.is_strict:
+            ok = slack > tol.strict
+        else:
+            ok = np.all(products <= delta, axis=1)
+        ok &= np.all(candidates @ jac_active.T <= 0.0, axis=1) & unresolved
+        unresolved[ok] = False
+        etas[ok] = candidates[ok]
+        margins[ok] = np.maximum(slack[ok], 0.0)
+
+    if not kind.is_strict:
+        substitute(np.zeros_like(points))
+    substitute(points - pbar.x)
+    if not unresolved.any():
+        return unresolved, etas, margins
+    try:
+        outcome = motzkin(jac, jac_active, tol)
+    except NumericalBreakdownError:
+        return unresolved, etas, margins
+    if outcome.primal_holds:
+        d = outcome.primal_witness
+        descent = -(jac @ d)
+        if np.all(descent > 0):
+            t = np.maximum(np.max((1.0 - delta) / descent, axis=1), 0.0)
+            substitute(t[:, None] * d)
+    return unresolved, etas, margins
+
+
+def _freeze(verdict: PairVerdict) -> PairVerdict:
+    """Make the verdict's arrays read-only so cached results cannot be altered."""
+    arrays = [verdict.xbar, verdict.x]
+    if verdict.kernel is not None:
+        arrays.append(verdict.kernel.eta)
+    if verdict.certificate is not None:
+        arrays += [verdict.certificate.lam, verdict.certificate.mu]
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
+    return verdict
+
+
 @lru_cache(maxsize=64)
 def _certify(
     problem: Problem,
@@ -417,31 +538,48 @@ def _certify(
     sampler: GridSampler | RandomSampler,
     tol: ToleranceConfig,
 ) -> DomainVerdict:
-    points = sampler.points(problem)
-    evaluated = [evaluate(problem, x, tol) for x in points]
+    evaluated = [evaluate(problem, x, tol) for x in sampler.points(problem)]
     if kind.is_kt:
         evaluated = [ep for ep in evaluated if ep.feasible]
     if not evaluated:
         raise InfeasiblePointError(
             f"sampler produced no feasible point on {problem.name!r}"
         )
+    points = np.array([ep.x for ep in evaluated])
+    values = np.array([ep.objective_values for ep in evaluated])
     certify = pair_certifier(kind)
     failures: list[PairVerdict] = []
     kernels: list[PairVerdict] = []
     checked = 0
     for pbar in evaluated:
-        for p in evaluated:
-            if kind.is_strict and (
-                float(np.linalg.norm(p.x - pbar.x)) <= DEGENERATE_PAIR_RADIUS
-            ):
-                continue
-            verdict = certify(pbar, p, tol)
-            checked += 1
+        if kind.is_strict:
+            distinct = np.linalg.norm(points - pbar.x, axis=1) > DEGENERATE_PAIR_RADIUS
+        else:
+            distinct = np.ones(len(points), dtype=bool)
+        checked += int(distinct.sum())
+        unresolved, etas, margins = _base_point_kernels(
+            pbar, points, values, distinct, kind, tol
+        )
+        decided = {}
+        for j in np.flatnonzero(unresolved):
+            verdict = certify(pbar, evaluated[j], tol)
+            decided[int(j)] = verdict
+            if not verdict.holds:
+                failures.append(_freeze(verdict))
+        for j in np.flatnonzero(distinct):
+            if len(kernels) == _KERNEL_SAMPLE_LIMIT:
+                break
+            verdict = decided.get(int(j))
+            if verdict is None:
+                verdict = PairVerdict(
+                    kind=kind,
+                    xbar=pbar.x,
+                    x=evaluated[j].x,
+                    kernel=KernelWitness(eta=etas[j].copy(), margin=float(margins[j])),
+                    certificate=None,
+                )
             if verdict.holds:
-                if len(kernels) < _KERNEL_SAMPLE_LIMIT:
-                    kernels.append(verdict)
-            else:
-                failures.append(verdict)
+                kernels.append(_freeze(verdict))
     return DomainVerdict(
         problem_name=problem.name,
         kind=kind,
@@ -460,7 +598,14 @@ def certify_domain(
     sampler: GridSampler | RandomSampler,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> DomainVerdict:
-    """Run one kind's pairwise certifier over every sampled ordered pair.
+    """Decide one kind's invexity relation on every sampled ordered pair.
+
+    Each base point x̄ is decided once against all sampled points: kernels
+    that one pass verifies by substitution settle most pairs, and the
+    single-pair certifier runs only on pairs left open at (KT-)stationary
+    base points, so failures carry exactly its certificates. Kernel samples
+    may carry a different (equally replayable) η than the single-pair
+    certifier returns. The returned verdicts are read-only.
 
     KT kinds restrict to feasible sample points; strict kinds skip
     degenerate pairs. The non-KT kinds ignore constraints entirely, so the

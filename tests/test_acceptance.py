@@ -225,7 +225,7 @@ def test_criterion_4_stationary_vs_kernel_crosscheck():
         if not cube_check.kernel_failures:
             problems.append("cube: no matching pairwise failure witness")
     finish(4, "stationary/kernel cross-check", problems,
-           time.perf_counter() - t0)
+           time.perf_counter() - t0, budget=10.0)
 
 
 def test_criterion_5_kt_crosscheck_and_certificate_replay():

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from invexcheck.invexity import (
+    DEGENERATE_PAIR_RADIUS,
     DegeneratePairError,
     GridSampler,
     InvexityKind,
@@ -24,7 +25,10 @@ from invexcheck.problems import (
     Problem,
     evaluate,
     fixture,
+    fixture_names,
+    without_constraints,
 )
+from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
 
 # objective pulls right at the boundary x = 1 of the disconnected feasible
 # set {|x| >= 1}, while lower values live on the far component: the KT
@@ -189,6 +193,26 @@ def test_domain_sweep_is_cached():
     assert a is b
 
 
+def test_domain_sweep_results_are_read_only():
+    dv = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.25))
+    failure, kernel = dv.failures[0], dv.kernels[0]
+    for arr in (
+        failure.xbar,
+        failure.x,
+        failure.certificate.lam,
+        kernel.xbar,
+        kernel.x,
+        kernel.kernel.eta,
+    ):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    kt = certify_domain(SPLIT_INTERVAL, InvexityKind.KT_INVEX, GridSampler(0.25))
+    with pytest.raises(ValueError):
+        kt.failures[0].certificate.mu[0] = 9.0
+    again = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.25))
+    assert again.failures[0].xbar == pytest.approx([0.0])
+
+
 def test_random_sampler_is_deterministic():
     dv1 = certify_domain(
         fixture("convex-pair"), InvexityKind.INVEX, RandomSampler(30, seed=3)
@@ -257,6 +281,8 @@ def test_convex_quadratics_always_yield_kernels(a, b, xbar, x):
     st.floats(min_value=-1.5, max_value=1.5),
     st.floats(min_value=-1.5, max_value=1.5),
 )
+# Δf of the first objective (1e-10) is below the strict tolerance
+@example(a=1.0, xbar=0.0, x=1e-5)
 def test_strict_kernels_replay_for_strictly_convex_objectives(a, xbar, x):
     if abs(x - xbar) < 1e-6:
         return
@@ -271,3 +297,117 @@ def test_strict_kernels_replay_for_strictly_convex_objectives(a, xbar, x):
     assert verdict.holds
     assert verdict.kernel.margin > 0
     assert validate_pair_verdict(problem, verdict) == []
+
+
+def pairwise_sweep(problem, kind, sampler, tol=DEFAULT_TOL):
+    """Reference sweep: the single-pair certifier on every ordered pair.
+
+    Returns (checked_pairs, points_sampled, failures) as `certify_domain`
+    computed them before sweeps were decided per base point.
+    """
+    if not kind.is_kt:
+        problem = without_constraints(problem)
+    evaluated = [evaluate(problem, x, tol) for x in sampler.points(problem)]
+    if kind.is_kt:
+        evaluated = [ep for ep in evaluated if ep.feasible]
+    if not evaluated:
+        raise InfeasiblePointError("sampler produced no feasible point")
+    certify = pair_certifier(kind)
+    failures = []
+    checked = 0
+    for pbar in evaluated:
+        for p in evaluated:
+            if kind.is_strict and (
+                float(np.linalg.norm(p.x - pbar.x)) <= DEGENERATE_PAIR_RADIUS
+            ):
+                continue
+            verdict = certify(pbar, p, tol)
+            checked += 1
+            if not verdict.holds:
+                failures.append(verdict)
+    return checked, len(evaluated), failures
+
+
+def assert_sweep_matches(problem, kind, sampler, reference):
+    checked, sampled, failures = reference
+    dv = certify_domain(problem, kind, sampler)
+    assert dv.checked_pairs == checked
+    assert dv.points_sampled == sampled
+    assert dv.all_pairs_kernel == (not failures)
+    assert [(tuple(v.xbar), tuple(v.x)) for v in dv.failures] == [
+        (tuple(v.xbar), tuple(v.x)) for v in failures
+    ]
+    for got, want in zip(dv.failures, failures):
+        assert got.kernel is None
+        assert np.array_equal(got.certificate.lam, want.certificate.lam)
+        if want.certificate.mu is None:
+            assert got.certificate.mu is None
+        else:
+            assert np.array_equal(got.certificate.mu, want.certificate.mu)
+        assert got.certificate.violation == want.certificate.violation
+    reading = problem if kind.is_kt else without_constraints(problem)
+    for verdict in dv.kernels:
+        assert validate_pair_verdict(reading, verdict) == []
+
+
+SWEEP_PROBLEMS = fixture_names() + ("split-interval",)
+
+
+@pytest.mark.parametrize("step", [0.25, 0.5, 2 / 3], ids=["0.25", "0.5", "2/3"])
+@pytest.mark.parametrize("kind", list(InvexityKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", SWEEP_PROBLEMS)
+def test_domain_sweep_matches_pairwise_reference(name, kind, step):
+    problem = SPLIT_INTERVAL if name == "split-interval" else fixture(name)
+    sampler = GridSampler(step)
+    assert_sweep_matches(
+        problem, kind, sampler, pairwise_sweep(problem, kind, sampler)
+    )
+
+
+@pytest.mark.parametrize("kind", list(InvexityKind), ids=lambda k: k.value)
+def test_random_sweep_matches_pairwise_reference(kind):
+    problem = fixture("paper-example-2.1")
+    sampler = RandomSampler(24, seed=11)
+    assert_sweep_matches(
+        problem, kind, sampler, pairwise_sweep(problem, kind, sampler)
+    )
+
+
+_COEFFICIENTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def small_polynomial_problems(draw):
+    variables = ("x", "y")[: draw(st.integers(1, 2))]
+    exponents = st.tuples(*[st.integers(0, 3) for _ in variables])
+
+    def polynomial():
+        terms = draw(
+            st.lists(st.tuples(_COEFFICIENTS, exponents), min_size=1, max_size=3)
+        )
+        parts = []
+        for coeff, powers in terms:
+            factors = [f"({coeff!r})"] + [
+                f"{v}^{k}" for v, k in zip(variables, powers) if k
+            ]
+            parts.append(" * ".join(factors))
+        return " + ".join(parts)
+
+    return Problem(
+        name="random-polynomial",
+        variables=variables,
+        objectives=(polynomial(), polynomial()),
+        constraints=tuple(polynomial() for _ in range(draw(st.integers(0, 1)))),
+        box=((-1.0, 1.0),) * len(variables),
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(small_polynomial_problems(), st.sampled_from(list(InvexityKind)))
+def test_sweep_matches_pairwise_reference_on_random_polynomials(problem, kind):
+    sampler = GridSampler(0.5)
+    try:
+        reference = pairwise_sweep(problem, kind, sampler)
+    except (InfeasiblePointError, NumericalBreakdownError):
+        reject()
+    assert_sweep_matches(problem, kind, sampler, reference)
