@@ -97,6 +97,8 @@ def _grid_eval(problem: Problem, grid_step: float, tol: ToleranceConfig) -> _Gri
                 break
         for i, ast in enumerate(obj_asts):
             values[idx, i] = eval_value(ast, x)
+    for array in (nodes, values, feasible):
+        array.flags.writeable = False
     return _GridEval(nodes=nodes, values=values, feasible=feasible)
 
 
@@ -157,9 +159,12 @@ def _polish(
 
 
 def _dedupe(points: list[np.ndarray], radius: float) -> list[np.ndarray]:
+    """Greedy in input order: keep a point farther than ``radius`` from all kept."""
     kept: list[np.ndarray] = []
+    stacked = np.empty((len(points), points[0].size))
     for pt in points:
-        if all(np.linalg.norm(pt - other) > radius for other in kept):
+        if np.all(np.linalg.norm(stacked[: len(kept)] - pt, axis=1) > radius):
+            stacked[len(kept)] = pt
             kept.append(pt)
     return kept
 
@@ -269,22 +274,48 @@ def is_global_weighting_solution(
     )
 
 
+def _dominated(values: np.ndarray) -> np.ndarray:
+    """dominated[i] = some row of ``values`` is strictly below row i in every column.
+
+    One objective: a node is dominated iff it is above the minimum. Two
+    objectives: the maxima scan of Kung, Luccio & Preparata (1975). Sorted
+    by f₁, the nodes with f₁ strictly below a node's own form a prefix, found
+    by ``searchsorted``, so equal f₁ never dominate each other; the node is
+    dominated iff that prefix's running minimum of f₂ is below its own f₂.
+    NaN compares false, as in the direct test: it never dominates and is
+    never dominated. Three or more objectives (no bundled fixture has them)
+    use a chunked all-pairs comparison.
+    """
+    count, n = values.shape
+    if n == 1:
+        return values[:, 0] > np.fmin.reduce(values[:, 0])
+    if n == 2:
+        f1, f2 = values[:, 0], values[:, 1]
+        order = np.argsort(f1, kind="stable")
+        below = np.searchsorted(f1[order], f1, side="left")
+        prefix_min = np.fmin.accumulate(f2[order])
+        dominated = np.zeros(count, dtype=bool)
+        has_prefix = (below > 0) & ~np.isnan(f1)
+        dominated[has_prefix] = prefix_min[below[has_prefix] - 1] < f2[has_prefix]
+        return dominated
+    dominated = np.zeros(count, dtype=bool)
+    chunk = max(1, 2_000_000 // max(1, count))
+    for lo_idx in range(0, count, chunk):
+        block = values[lo_idx : lo_idx + chunk]           # (C, n)
+        dominated[lo_idx : lo_idx + chunk] = np.any(
+            np.all(values[:, None, :] < block[None, :, :], axis=2), axis=0
+        )
+    return dominated
+
+
 @lru_cache(maxsize=64)
 def _weakly_efficient(
     problem: Problem, grid_step: float, tol: ToleranceConfig
 ) -> np.ndarray:
     nodes, values = _feasible_grid(problem, grid_step, tol)
-    count = nodes.shape[0]
-    keep = np.ones(count, dtype=bool)
-    chunk = max(1, 2_000_000 // max(1, count))
-    for lo_idx in range(0, count, chunk):
-        block = values[lo_idx : lo_idx + chunk]           # (C, n)
-        # dominated[c] = some node strictly below block[c] in every objective
-        dominated = np.any(
-            np.all(values[:, None, :] < block[None, :, :], axis=2), axis=0
-        )
-        keep[lo_idx : lo_idx + chunk] = ~dominated
-    return nodes[keep]
+    kept = nodes[~_dominated(values)]
+    kept.flags.writeable = False
+    return kept
 
 
 def weakly_efficient_scan(

@@ -210,6 +210,19 @@ class _Unbounded(Exception):
         self.col = col
 
 
+def _pivot(T: np.ndarray, row: int, enter: int) -> None:
+    """Pivot tableau T on (row, enter): scale the row, eliminate the column.
+
+    One rank-1 update over the rows with a nonzero entering-column entry;
+    each element sees the same multiply-then-subtract as a row-by-row loop.
+    """
+    T[row, :] /= T[row, enter]
+    col = T[:, enter].copy()
+    col[row] = 0.0
+    rows = np.flatnonzero(col)
+    T[rows] -= np.outer(col[rows], T[row])
+
+
 def _pivot_loop(
     T: np.ndarray,
     basis: np.ndarray,
@@ -245,11 +258,7 @@ def _pivot_loop(
         ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
         leave = int(ties[np.argmin(basis[ties])])
         before = T[-1, -1]
-        piv = T[leave, enter]
-        T[leave, :] /= piv
-        for i in range(T.shape[0]):
-            if i != leave and T[i, enter] != 0.0:
-                T[i, :] -= T[i, enter] * T[leave, :]
+        _pivot(T, leave, enter)
         basis[leave] = enter
         counter[0] += 1
         if counter[0] > tol.max_pivots:
@@ -303,11 +312,7 @@ def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
             structural = np.where(~std.artificial[:N] & (np.abs(T[i, :N]) > tol.pivot))[0]
             if structural.size:
                 enter = int(structural[0])
-                piv = T[i, enter]
-                T[i, :] /= piv
-                for r in range(T.shape[0]):
-                    if r != i and T[r, enter] != 0.0:
-                        T[r, :] -= T[r, enter] * T[i, :]
+                _pivot(T, i, enter)
                 std.basis[i] = enter
                 counter[0] += 1
 

@@ -7,6 +7,17 @@ multipliers on the active constraint gradients. Both conditions are linear
 feasibility questions, solved here with the in-house simplex so every
 returned multiplier set carries an exactly replayable residual.
 
+Grid scans solve those LPs only where 0 may lie in conv{∇fᵢ(x)}. With
+one or two objectives the point p of that hull nearest to 0 has a closed
+form, and −p is then a descent direction for every objective at once; a
+node is ruled out without an LP when ‖p‖ > 100·tol.stationary·max(1,
+max|Jf(x)|) (and min(1, ‖p‖) > 100·tol.feasibility, which the default
+tolerances imply), since no simplex weight can then bring λ·Jf within
+tolerance. KT scans apply this only at nodes with no active constraint.
+Nodes with active constraints, problems with three or more objectives and
+every node that survives go to the LP, so scans find exactly the points
+and multipliers the LP finds at every node.
+
 Recovered multipliers are canonicalized to make scans reproducible:
 weights are normalized to sum to one, the constraint multipliers minimize
 their total first, and among the remaining solutions the largest weight
@@ -204,6 +215,42 @@ def kt_multipliers(
     )
 
 
+def _ruled_out(jacobians: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    """Nodes at which no simplex weight can make λ·Jf vanish, shape (N,).
+
+    ``jacobians`` stacks Jf(x) per node, shape (N, n, s). For n ≤ 2 the
+    point p of conv{∇fᵢ(x)} nearest to 0 has a closed form, and −p is a
+    common descent direction: ∇fᵢ·p ≥ ‖p‖² for every i, so ‖λ·Jf‖ ≥ ‖p‖
+    for every λ in the simplex. Phase 1 of the multiplier LP then ends at
+    no less than min(1, ‖p‖) and reports the node infeasible. A node is
+    ruled out only when ‖p‖ exceeds 100·tol.stationary·max(1, max|Jf|)
+    and min(1, ‖p‖) exceeds 100·tol.feasibility (implied by the first at
+    the default tolerances), so rounding cannot flip the LP's answer. For
+    n ≥ 3 nothing is ruled out.
+    """
+    count, n, _ = jacobians.shape
+    if n == 1:
+        nearest = jacobians[:, 0]
+    elif n == 2:
+        g1 = jacobians[:, 0]
+        edge = jacobians[:, 1] - g1
+        length2 = np.einsum("ij,ij->i", edge, edge)
+        t = np.divide(
+            -np.einsum("ij,ij->i", g1, edge),
+            length2,
+            out=np.zeros(count),
+            where=length2 > 0,
+        )
+        nearest = g1 + np.clip(t, 0.0, 1.0)[:, None] * edge
+    else:
+        return np.zeros(count, dtype=bool)
+    distance = np.linalg.norm(nearest, axis=1)
+    scale = np.maximum(1.0, np.abs(jacobians).max(axis=(1, 2)))
+    return (distance > 100.0 * tol.stationary * scale) & (
+        np.minimum(distance, 1.0) > 100.0 * tol.feasibility
+    )
+
+
 @lru_cache(maxsize=64)
 def _scan(
     problem: Problem,
@@ -211,16 +258,27 @@ def _scan(
     kind: StationaryKind,
     tol: ToleranceConfig,
 ) -> tuple[StationaryPoint, ...]:
+    points = [evaluate(problem, node, tol) for node in grid_points(problem, grid_step)]
+    if kind is StationaryKind.KT:
+        points = [ep for ep in points if ep.feasible]
+    if not points:
+        return ()
+    ruled_out = _ruled_out(np.stack([ep.objective_jacobian for ep in points]), tol)
     found: list[StationaryPoint] = []
-    for node in grid_points(problem, grid_step):
-        ep = evaluate(problem, node, tol)
+    for ep, skip in zip(points, ruled_out):
+        # active constraint gradients can balance a descent direction; the
+        # vector scan's problem has no constraints, hence no active set
+        if skip and not ep.active_indices:
+            continue
         if kind is StationaryKind.KT:
-            if not ep.feasible:
-                continue
             mult = kt_multipliers(ep, tol)
         else:
             mult = critical_multipliers(ep, tol)
         if mult is not None:
+            # cached and shared by every caller: hand out read-only arrays
+            mu = (mult.mu,) if kind is StationaryKind.KT else ()
+            for array in (ep.x, mult.lam, *mu):
+                array.flags.writeable = False
             found.append(StationaryPoint(x=ep.x, kind=kind, multipliers=mult))
     return tuple(found)
 

@@ -13,9 +13,12 @@ from invexcheck.problems import (
     strictly_less,
 )
 from invexcheck.scalarization import (
+    _CLUSTER_RADIUS,
     EmptyFeasibleSetError,
     Globality,
     WeightVector,
+    _dedupe,
+    _dominated,
     is_global_weighting_solution,
     simplex_weights,
     solve_weighting,
@@ -149,6 +152,13 @@ def test_globality_tied_global_has_distant_witness():
     assert verdict.witness_value == pytest.approx(verdict.value)
 
 
+def naive_dominated(values):
+    """Quadratic-time reference: row i is strictly dominated by some row."""
+    return np.array(
+        [any(strictly_less(fj, fi) for fj in values) for fi in values], dtype=bool
+    )
+
+
 def naive_weakly_efficient(problem, step):
     """Quadratic-time reference: keep nodes not strictly dominated."""
     nodes = [
@@ -157,11 +167,24 @@ def naive_weakly_efficient(problem, step):
         if evaluate(problem, x).feasible
     ]
     values = [np.array(evaluate(problem, x).objective_values) for x in nodes]
-    keep = []
-    for i, fi in enumerate(values):
-        if not any(strictly_less(fj, fi) for fj in values):
-            keep.append(nodes[i])
-    return np.array(keep)
+    return np.array(nodes)[~naive_dominated(values)]
+
+
+# few distinct values, so that ties in one or all objectives are common
+_TIED_VALUES = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(_TIED_VALUES, min_size=n, max_size=n), min_size=1, max_size=30
+        )
+    )
+)
+def test_dominance_scan_matches_naive_reference(rows):
+    values = np.array(rows)
+    assert np.array_equal(_dominated(values), naive_dominated(values))
 
 
 @pytest.mark.parametrize(
@@ -195,3 +218,41 @@ def test_weak_efficiency_frozen_sets():
 def test_weak_efficiency_rejects_bad_step():
     with pytest.raises(ValueError):
         weakly_efficient_scan(fixture("cube"), -0.1)
+
+
+def test_weak_efficiency_scan_is_read_only():
+    p = fixture("convex-pair")
+    first = weakly_efficient_scan(p, 0.5)
+    original = first.copy()
+    with pytest.raises(ValueError):
+        first[:] = 99
+    assert np.array_equal(weakly_efficient_scan(p, 0.5), original)
+
+
+def naive_dedupe(points, radius):
+    """Reference: the greedy pass, one distance at a time."""
+    kept = []
+    for pt in points:
+        if all(np.linalg.norm(pt - other) > radius for other in kept):
+            kept.append(pt)
+    return kept
+
+
+# lattice spacing 5e-7 puts many pairs within, at and just beyond the radius
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 2).flatmap(
+        lambda s: st.lists(
+            st.lists(st.integers(-4, 4), min_size=s, max_size=s),
+            min_size=1,
+            max_size=25,
+        )
+    )
+)
+def test_dedupe_matches_naive_reference(rows):
+    points = [np.array(row, dtype=float) * 5e-7 for row in rows]
+    got = _dedupe(points, _CLUSTER_RADIUS)
+    want = naive_dedupe(points, _CLUSTER_RADIUS)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))
+

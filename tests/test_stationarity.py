@@ -2,10 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from invexcheck.problems import InfeasiblePointError, evaluate, fixture
+from invexcheck.problems import (
+    InfeasiblePointError,
+    Problem,
+    evaluate,
+    fixture,
+    fixture_names,
+    grid_points,
+    without_constraints,
+)
+from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
 from invexcheck.stationarity import (
     StationaryKind,
+    StationaryPoint,
     critical_multipliers,
     kt_multipliers,
     scan_critical_points,
@@ -118,3 +130,136 @@ def test_kt_scan_respects_feasible_set():
 def test_scan_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         scan_critical_points(fixture("cube"), 0.0, StationaryKind.VECTOR)
+
+
+def test_scanned_points_are_read_only():
+    p = fixture("convex-pair")
+    first = scan_critical_points(p, 0.25, StationaryKind.VECTOR)
+    original = [(sp.x.copy(), sp.multipliers.lam.copy()) for sp in first]
+    with pytest.raises(ValueError):
+        first[0].x[0] = 9.0
+    with pytest.raises(ValueError):
+        first[0].multipliers.lam[:] = 0.5
+    kt = scan_critical_points(fixture("kt-linear-quad"), 0.25, StationaryKind.KT)
+    with pytest.raises(ValueError):
+        kt[0].multipliers.mu[:] = 1.0
+    again = scan_critical_points(p, 0.25, StationaryKind.VECTOR)
+    assert again is first
+    for sp, (x, lam) in zip(again, original):
+        assert np.array_equal(sp.x, x)
+        assert np.array_equal(sp.multipliers.lam, lam)
+
+
+def reference_scan(problem, grid_step, kind, tol=DEFAULT_TOL):
+    """Reference scan: one multiplier LP at every (feasible, for KT) node.
+
+    This is how `scan_critical_points` computed its result before nodes were
+    ruled out by a closed-form descent direction.
+    """
+    if kind is StationaryKind.VECTOR:
+        problem = without_constraints(problem)
+    found = []
+    for node in grid_points(problem, grid_step):
+        ep = evaluate(problem, node, tol)
+        if kind is StationaryKind.KT:
+            if not ep.feasible:
+                continue
+            mult = kt_multipliers(ep, tol)
+        else:
+            mult = critical_multipliers(ep, tol)
+        if mult is not None:
+            found.append(StationaryPoint(x=ep.x, kind=kind, multipliers=mult))
+    return tuple(found)
+
+
+def assert_same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.kind is b.kind
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.multipliers.lam.tobytes() == b.multipliers.lam.tobytes()
+        assert a.multipliers.residual == b.multipliers.residual
+        if b.kind is StationaryKind.KT:
+            assert a.multipliers.mu.tobytes() == b.multipliers.mu.tobytes()
+            assert a.multipliers.active_indices == b.multipliers.active_indices
+
+
+# two-var-convex only at a coarse step: its reference scan costs one LP per
+# node, and finer steps would lengthen the suite by seconds
+SCAN_CASES = [
+    (name, step)
+    for name in fixture_names()
+    for step in ((0.2,) if name == "two-var-convex" else (0.05, 0.0625, 0.2))
+]
+
+
+@pytest.mark.parametrize("kind", list(StationaryKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name,step", SCAN_CASES)
+def test_scan_matches_reference(name, step, kind):
+    p = fixture(name)
+    assert_same_points(
+        scan_critical_points(p, step, kind), reference_scan(p, step, kind)
+    )
+
+
+# tilted objectives have no linear term, so their gradient at the grid node
+# 0 is the tilt: values on both sides of the screen's margin
+# 100 * tol.stationary = 1e-5 and of the LP's tol.feasibility = 1e-8
+_TILTS = st.sampled_from(
+    [0.0, 1e-9, 1e-8, 3e-8, 1e-7, 5e-6, 1e-5, 2e-5, 1e-4, 1e-2, 1.0]
+)
+_COEFFICIENTS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tilted_polynomial_problems(draw):
+    variables = ("x", "y")[: draw(st.integers(1, 2))]
+    exponents = st.tuples(*[st.integers(0, 3) for _ in variables])
+
+    def polynomial(tilted):
+        terms = draw(
+            st.lists(st.tuples(_COEFFICIENTS, exponents), min_size=1, max_size=3)
+        )
+        parts = []
+        for coeff, powers in terms:
+            if tilted and sum(powers) == 1:
+                powers = tuple(2 * k for k in powers)
+            factors = [f"({coeff!r})"] + [
+                f"{v}^{k}" for v, k in zip(variables, powers) if k
+            ]
+            parts.append(" * ".join(factors))
+        if tilted:
+            for v in variables:
+                parts.append(f"({draw(_TILTS) * draw(st.sampled_from([-1, 1]))!r}) * {v}")
+        return " + ".join(parts)
+
+    return Problem(
+        name="tilted-polynomial",
+        variables=variables,
+        objectives=tuple(polynomial(True) for _ in range(draw(st.integers(1, 2)))),
+        constraints=tuple(polynomial(False) for _ in range(draw(st.integers(0, 1)))),
+        box=((-1.0, 1.0),) * len(variables),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(tilted_polynomial_problems(), st.sampled_from(list(StationaryKind)))
+# the LP accepts this gradient of 1e-9 at x = 0 as stationary
+@example(
+    Problem(
+        name="tilted-polynomial",
+        variables=("x",),
+        objectives=("(1.0) * x^2 + (1e-09) * x",),
+        constraints=(),
+        box=((-1.0, 1.0),),
+    ),
+    StationaryKind.VECTOR,
+)
+def test_scan_matches_reference_on_random_polynomials(problem, kind):
+    try:
+        want = reference_scan(problem, 0.5, kind)
+    except NumericalBreakdownError:
+        with pytest.raises(NumericalBreakdownError):
+            scan_critical_points(problem, 0.5, kind)
+        return
+    assert_same_points(scan_critical_points(problem, 0.5, kind), want)
