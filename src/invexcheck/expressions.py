@@ -13,8 +13,9 @@ Grammar (whitespace insignificant)::
 
 Binary operators are left-associative; '^' takes a literal (optionally signed)
 integer exponent. Piecewise selects the first branch whose condition holds,
-else the trailing default. Derivatives are computed with dual numbers, one
-sweep per variable; at a piecewise seam the active branch's derivative is used.
+else the trailing default. Values and gradients come from one forward pass
+over an (N, s) array of points that carries a dual-number tangent column per
+variable; at a piecewise seam the active branch's derivative is used.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -318,134 +320,149 @@ def to_text(expr: Expr) -> str:
     return _fmt(expr, 0)
 
 
-def _value(node: Expr, x: np.ndarray) -> float:
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return float(x[node.index])
-    if isinstance(node, Neg):
-        return -_value(node.arg, x)
-    if isinstance(node, BinOp):
-        a = _value(node.left, x)
-        b = _value(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b == 0.0:
-            raise DomainError("division by zero", node)
-        return a / b
-    if isinstance(node, Pow):
-        base = _value(node.base, x)
-        if node.exponent < 0 and base == 0.0:
-            raise DomainError("zero base with negative exponent", node)
-        return float(base**node.exponent)
-    if isinstance(node, Call):
-        v = _value(node.arg, x)
-        if node.func == "exp":
+def _elementwise(fn, values: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray | None]:
+    """``fn(v, *args)`` for each value as a Python float, and where it raised
+    (as NaN). Python's float power and `math` give the bits scalar code gets;
+    numpy's pow, exp, log, sin and cos may differ in the last place."""
+    try:
+        return np.fromiter(map(fn, values.tolist(), *map(repeat, args)), float, values.size), None
+    except (OverflowError, ValueError):  # overflow, or sin/cos of ±inf
+        out, bad = np.empty(values.size), np.zeros(values.size, dtype=bool)
+        for i, v in enumerate(values.tolist()):
             try:
-                return math.exp(v)
-            except OverflowError as exc:
-                raise DomainError("exp overflow", node) from exc
-        if node.func == "ln":
-            if v <= 0.0:
-                raise DomainError("ln of a nonpositive value", node)
-            return math.log(v)
-        if node.func == "sin":
-            return math.sin(v)
-        if node.func == "cos":
-            return math.cos(v)
-        return abs(v)
-    if isinstance(node, Piecewise):
-        return _value(_select_branch(node, x), x)
-    raise TypeError(f"not an expression node: {node!r}")
+                out[i] = fn(v, *args)
+            except (OverflowError, ValueError):
+                out[i], bad[i] = math.nan, True
+        return out, bad
 
 
-def _holds(cond: Condition, x: np.ndarray) -> bool:
-    a = _value(cond.lhs, x)
-    b = _value(cond.rhs, x)
-    if cond.op == "<":
-        return a < b
-    if cond.op == "<=":
-        return a <= b
-    if cond.op == ">":
-        return a > b
-    return a >= b
+def _power(v: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``v ** k`` as `_elementwise` gives it; Python's v**0 is 1 and v**1 is v."""
+    if k in (0, 1):
+        return (np.ones(v.size) if k == 0 else v), None
+    return _elementwise(pow, v, k)
 
 
-def _select_branch(node: Piecewise, x: np.ndarray) -> Expr:
-    for cond, value in node.branches:
-        if _holds(cond, x):
-            return value
-    return node.default
+class _Pass:
+    """One forward pass over the rows of an (N, s) point array.
+
+    `run` gives a node's values (M,) and tangents (M, width) on a subset of
+    the rows: width s carries one dual-number tangent column per variable,
+    width 0 values only. Constants and variable tangents keep one row and
+    broadcast. Each operation keeps the scalar order of arithmetic. A
+    failure marks its rows and the pass goes on; `failures` keeps them in
+    the order a scalar walk meets them, ranked (expression, tangent, seen).
+    """
+
+    def __init__(self):
+        self.expression = 0  # index of the expression being run
+        self.failures: list[tuple[tuple, np.ndarray, str, Expr]] = []
+
+    def fail(self, rows, bad, message: str, node: Expr, tangent=False) -> None:
+        hit = rows[np.broadcast_to(bad, rows.shape)] if bad is not None else rows[:0]
+        if hit.size:
+            rank = (self.expression, tangent, len(self.failures))
+            self.failures.append((rank, hit, message, node))
+
+    def run(self, node: Expr, x: np.ndarray, rows: np.ndarray, width: int):
+        if isinstance(node, Const):
+            return np.array([node.value]), np.zeros((1, width))
+        if isinstance(node, Var):
+            d = np.zeros((1, width))
+            d[:, node.index : node.index + 1] = 1.0  # no column when width is 0
+            return x[:, node.index], d
+        if isinstance(node, Neg):
+            v, d = self.run(node.arg, x, rows, width)
+            return -v, -d
+        if isinstance(node, BinOp):
+            a, da = self.run(node.left, x, rows, width)
+            b, db = self.run(node.right, x, rows, width)
+            if node.op == "+":
+                return a + b, da + db
+            if node.op == "-":
+                return a - b, da - db
+            if node.op == "*":
+                return a * b, da * b[:, None] + a[:, None] * db
+            self.fail(rows, b == 0.0, "division by zero", node)
+            return a / b, (da * b[:, None] - a[:, None] * db) / (b * b)[:, None]
+        if isinstance(node, Pow):
+            v, dv = self.run(node.base, x, rows, width)
+            k = node.exponent
+            if k < 0:
+                self.fail(rows, v == 0.0, "zero base with negative exponent", node)
+                v = np.where(v == 0.0, 1.0, v)
+            value, overflow = _power(v, k)
+            self.fail(rows, overflow, "power overflow", node)
+            if not width or k == 0:
+                return value, np.zeros_like(dv)
+            slope, overflow = _power(v, k - 1)
+            self.fail(rows, overflow, "power overflow", node, tangent=True)
+            return value, (k * slope)[:, None] * dv
+        if isinstance(node, Call):
+            v, dv = self.run(node.arg, x, rows, width)
+            if node.func == "abs":
+                return np.abs(v), np.where(v == 0.0, 0.0, np.copysign(1.0, v))[:, None] * dv
+            if node.func == "ln":
+                self.fail(rows, v <= 0.0, "ln of a nonpositive value", node)
+                return _elementwise(math.log, np.where(v <= 0.0, 1.0, v))[0], dv / v[:, None]
+            value, bad = _elementwise(getattr(math, node.func), v)
+            if node.func == "exp":
+                self.fail(rows, bad, "exp overflow", node)
+                return value, value[:, None] * dv
+            self.fail(rows, bad, f"{node.func} of an infinite value", node)
+            if node.func == "sin":
+                return value, _elementwise(math.cos, v)[0][:, None] * dv
+            return value, (-_elementwise(math.sin, v)[0])[:, None] * dv
+        if isinstance(node, Piecewise):
+            value, tangent = np.empty(len(x)), np.empty((len(x), width))
+            open_ = np.arange(len(x))  # conditions and branches see only the rows not yet selected
+            for cond, branch in (*node.branches, (None, node.default)):
+                xs, rs = x[open_], rows[open_]
+                holds = np.ones(open_.size, dtype=bool)
+                if cond is not None:
+                    a, b = self.run(cond.lhs, xs, rs, 0)[0], self.run(cond.rhs, xs, rs, 0)[0]
+                    holds = np.broadcast_to(_RELATION[cond.op](a, b), open_.shape)
+                pick, open_ = open_[holds], open_[~holds]
+                value[pick], tangent[pick] = self.run(branch, xs[holds], rs[holds], width)
+            return value, tangent
+        raise TypeError(f"not an expression node: {node!r}")
 
 
-def _dual(node: Expr, x: np.ndarray, seed: int) -> tuple[float, float]:
-    """Evaluate (value, d/dx_seed) with dual-number arithmetic."""
-    if isinstance(node, Const):
-        return node.value, 0.0
-    if isinstance(node, Var):
-        return float(x[node.index]), 1.0 if node.index == seed else 0.0
-    if isinstance(node, Neg):
-        v, d = _dual(node.arg, x, seed)
-        return -v, -d
-    if isinstance(node, BinOp):
-        a, da = _dual(node.left, x, seed)
-        b, db = _dual(node.right, x, seed)
-        if node.op == "+":
-            return a + b, da + db
-        if node.op == "-":
-            return a - b, da - db
-        if node.op == "*":
-            return a * b, da * b + a * db
-        if b == 0.0:
-            raise DomainError("division by zero", node)
-        return a / b, (da * b - a * db) / (b * b)
-    if isinstance(node, Pow):
-        v, dv = _dual(node.base, x, seed)
-        k = node.exponent
-        if k == 0:
-            return 1.0, 0.0
-        if k < 0 and v == 0.0:
-            raise DomainError("zero base with negative exponent", node)
-        return float(v**k), k * float(v ** (k - 1)) * dv
-    if isinstance(node, Call):
-        v, dv = _dual(node.arg, x, seed)
-        if node.func == "exp":
-            try:
-                e = math.exp(v)
-            except OverflowError as exc:
-                raise DomainError("exp overflow", node) from exc
-            return e, e * dv
-        if node.func == "ln":
-            if v <= 0.0:
-                raise DomainError("ln of a nonpositive value", node)
-            return math.log(v), dv / v
-        if node.func == "sin":
-            return math.sin(v), math.cos(v) * dv
-        if node.func == "cos":
-            return math.cos(v), -math.sin(v) * dv
-        sign = 0.0 if v == 0.0 else math.copysign(1.0, v)
-        return abs(v), sign * dv
-    if isinstance(node, Piecewise):
-        return _dual(_select_branch(node, x), x, seed)
-    raise TypeError(f"not an expression node: {node!r}")
+_RELATION = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal}
+
+
+def forward(exprs, points, gradient: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Values (N, k) and gradients (N, k, s) of k expressions at the N rows
+    of ``points`` (shape (N, s)), one batched pass per expression.
+
+    Without ``gradient`` the Jacobian has no columns. Raises the DomainError
+    of the lowest-index failing point, at the node a scalar walk of the
+    expressions in turn (values, then gradients) meets first there.
+    """
+    points = np.asarray(points, dtype=float)
+    width = points.shape[1] if gradient else 0
+    state = _Pass()
+    values = np.empty((len(points), len(exprs)))
+    jacobian = np.empty((len(points), len(exprs), width))
+    rows = np.arange(len(points))
+    with np.errstate(all="ignore"):
+        for i, expr in enumerate(exprs):
+            state.expression = i
+            values[:, i], jacobian[:, i] = state.run(expr, points, rows, width)
+    if state.failures:
+        row = min(hit.min() for _, hit, _, _ in state.failures)
+        _, _, message, node = min(f for f in state.failures if row in f[1])
+        raise DomainError(message, node)
+    return values, jacobian
 
 
 def eval_value(expr: Expr, x: np.ndarray | list[float]) -> float:
-    return _value(expr, np.asarray(x, dtype=float))
+    return float(forward((expr,), np.asarray(x, dtype=float)[None], gradient=False)[0][0, 0])
 
 
 def eval_with_gradient(expr: Expr, x: np.ndarray | list[float]) -> tuple[float, np.ndarray]:
-    """Value and gradient at x; one dual sweep per coordinate."""
-    x = np.asarray(x, dtype=float)
-    grad = np.empty(x.shape[0])
-    value = _value(expr, x)
-    for seed in range(x.shape[0]):
-        _, grad[seed] = _dual(expr, x, seed)
-    return value, grad
+    values, jacobian = forward((expr,), np.asarray(x, dtype=float)[None])
+    return float(values[0, 0]), jacobian[0, 0]
 
 
 @dataclass
@@ -472,20 +489,14 @@ _REL_THRESHOLD = 1e-4
 _SMOOTHNESS_SEED = 724212
 
 
-def _central_fd(expr: Expr, x: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        grad[i] = (_value(expr, hi) - _value(expr, lo)) / (2.0 * step)
-    return grad
-
-
 def _fd_deviation(expr: Expr, x: np.ndarray, step: float) -> float:
+    """Largest relative gap between the gradient and central differences."""
     _, ad = eval_with_gradient(expr, x)
-    fd = _central_fd(expr, x, step)
+    shifted = np.repeat(x[None], 2 * x.size, axis=0)  # rows x + h e_i, x - h e_i, ...
+    shifted[2 * np.arange(x.size), np.arange(x.size)] += step
+    shifted[2 * np.arange(x.size) + 1, np.arange(x.size)] -= step
+    values = forward((expr,), shifted, gradient=False)[0][:, 0]
+    fd = (values[0::2] - values[1::2]) / (2.0 * step)
     return float(np.max(np.abs(ad - fd) / np.maximum(1.0, np.abs(fd)))) if x.size else 0.0
 
 
@@ -520,7 +531,7 @@ def _locate_seams_1d(expr: Expr, lo: float, hi: float) -> list[float]:
     grid = np.linspace(lo, hi, 2048)
     for gen in generators:
         try:
-            values = np.array([_value(gen, np.array([t])) for t in grid])
+            values = forward((gen,), grid[:, None], gradient=False)[0][:, 0]
         except DomainError:
             continue
         signs = np.sign(values)
@@ -531,7 +542,7 @@ def _locate_seams_1d(expr: Expr, lo: float, hi: float) -> list[float]:
                 a, b = float(grid[i]), float(grid[i + 1])
                 for _ in range(80):
                     mid = 0.5 * (a + b)
-                    fm = _value(gen, np.array([mid]))
+                    fm = eval_value(gen, [mid])
                     if fm == 0.0:
                         a = b = mid
                         break
@@ -568,33 +579,21 @@ def validate_smoothness(expr: Expr, box: list[tuple[float, float]], samples: int
         lows = np.array([lo for lo, _ in box]) + inset
         highs = np.array([hi for _, hi in box]) - inset
         points = [rng.uniform(lows, highs) for _ in range(samples)]
+    checks = [(x, _FD_STEP, "gradient/finite-difference mismatch") for x in points]
+    if dims == 1:
+        lo, hi = box[0]
+        for seam in _locate_seams_1d(expr, lo, hi):
+            for t in (seam - _SEAM_OFFSET, seam + _SEAM_OFFSET):
+                if lo + _SEAM_FD_STEP <= t <= hi - _SEAM_FD_STEP:
+                    note = f"kink detected near seam at {seam:.6g}"
+                    checks.append((np.array([t]), _SEAM_FD_STEP, note))
     violations: list[SmoothnessViolation] = []
-    checked = 0
-    for x in points:
-        checked += 1
+    for x, step, note in checks:
         try:
-            dev = _fd_deviation(expr, x, _FD_STEP)
+            dev = _fd_deviation(expr, x, step)
         except DomainError as exc:
             violations.append(SmoothnessViolation(x, math.inf, f"evaluation failed: {exc}"))
             continue
         if dev > _REL_THRESHOLD:
-            violations.append(SmoothnessViolation(x, dev, "gradient/finite-difference mismatch"))
-    if dims == 1:
-        lo, hi = box[0]
-        for seam in _locate_seams_1d(expr, lo, hi):
-            for offset in (-_SEAM_OFFSET, _SEAM_OFFSET):
-                t = seam + offset
-                if not (lo + _SEAM_FD_STEP <= t <= hi - _SEAM_FD_STEP):
-                    continue
-                checked += 1
-                x = np.array([t])
-                try:
-                    dev = _fd_deviation(expr, x, _SEAM_FD_STEP)
-                except DomainError as exc:
-                    violations.append(SmoothnessViolation(x, math.inf, f"evaluation failed: {exc}"))
-                    continue
-                if dev > _REL_THRESHOLD:
-                    violations.append(
-                        SmoothnessViolation(x, dev, f"kink detected near seam at {seam:.6g}")
-                    )
-    return SmoothnessReport(violations=violations, samples_checked=checked)
+            violations.append(SmoothnessViolation(x, dev, note))
+    return SmoothnessReport(violations=violations, samples_checked=len(checks))

@@ -44,8 +44,10 @@ from .alternative import gordan, motzkin
 from .problems import (
     EvaluatedPoint,
     InfeasiblePointError,
+    PointBatch,
     Problem,
-    evaluate,
+    as_point,
+    evaluate_many,
     grid_points,
     random_points,
     without_constraints,
@@ -54,7 +56,7 @@ from .scalarization import (
     Globality,
     GlobalityVerdict,
     WeightVector,
-    is_global_weighting_solution,
+    grade_weighting_solutions,
 )
 from .simplex import (
     DEFAULT_TOL,
@@ -532,21 +534,33 @@ def _freeze(verdict: PairVerdict) -> PairVerdict:
 
 
 @lru_cache(maxsize=64)
+def _sample(
+    problem: Problem, sampler: GridSampler | RandomSampler, tol: ToleranceConfig
+) -> PointBatch:
+    """The sampler's points evaluated in one batch, shared by the four kinds."""
+    batch = evaluate_many(problem, sampler.points(problem), tol)
+    for array in vars(batch).values():
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
+    return batch
+
+
+@lru_cache(maxsize=64)
 def _certify(
     problem: Problem,
     kind: InvexityKind,
     sampler: GridSampler | RandomSampler,
     tol: ToleranceConfig,
 ) -> DomainVerdict:
-    evaluated = [evaluate(problem, x, tol) for x in sampler.points(problem)]
-    if kind.is_kt:
-        evaluated = [ep for ep in evaluated if ep.feasible]
-    if not evaluated:
+    batch = _sample(problem, sampler, tol)
+    rows = np.flatnonzero(batch.feasible) if kind.is_kt else np.arange(len(batch.x))
+    if not rows.size:
         raise InfeasiblePointError(
             f"sampler produced no feasible point on {problem.name!r}"
         )
-    points = np.array([ep.x for ep in evaluated])
-    values = np.array([ep.objective_values for ep in evaluated])
+    evaluated = [batch.point(row) for row in rows]
+    points = batch.x[rows]
+    values = batch.objective_values[rows]
     certify = pair_certifier(kind)
     failures: list[PairVerdict] = []
     kernels: list[PairVerdict] = []
@@ -621,8 +635,18 @@ def validate_pair_verdict(
     problem: Problem, verdict: PairVerdict, tol: ToleranceConfig = DEFAULT_TOL
 ) -> list[str]:
     """Replay a verdict's kernel or certificate by direct substitution."""
-    pbar = evaluate(problem, verdict.xbar, tol)
-    p = evaluate(problem, verdict.x, tol)
+    points = [as_point(problem, verdict.xbar), as_point(problem, verdict.x)]
+    batch = evaluate_many(problem, np.array(points), tol)
+    return validate_evaluated_pair(batch.point(0), batch.point(1), verdict, tol)
+
+
+def validate_evaluated_pair(
+    pbar: EvaluatedPoint,
+    p: EvaluatedPoint,
+    verdict: PairVerdict,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[str]:
+    """`validate_pair_verdict` at the already evaluated points x̄ and x."""
     delta = p.objective_values - pbar.objective_values
     jac = pbar.objective_jacobian
     jac_active = pbar.active_jacobian
@@ -736,24 +760,22 @@ def _grade_stationary(
     problem: Problem,
     points: tuple[StationaryPoint, ...],
     grid_step: float,
-    strict: bool,
     tol: ToleranceConfig,
-) -> tuple[bool, tuple[StationaryGlobality, ...]]:
-    """L side: every stationary point Global (strict: UniqueGlobal) for its λ."""
-    failures = []
-    for sp in points:
-        lam = sp.multipliers.lam
-        verdict = is_global_weighting_solution(
-            problem, WeightVector(tuple(lam)), sp.x, grid_step, tol
-        )
-        ok = (
-            verdict.globality is Globality.UNIQUE_GLOBAL
-            if strict
-            else verdict.is_global
-        )
-        if not ok:
-            failures.append(StationaryGlobality(x=sp.x, lam=lam, verdict=verdict))
-    return not failures, tuple(failures)
+) -> tuple[StationaryGlobality, ...]:
+    """Every stationary point graded against the weighting problem of its λ."""
+    if not points:
+        return ()
+    verdicts = grade_weighting_solutions(
+        problem,
+        [WeightVector(tuple(sp.multipliers.lam)) for sp in points],
+        np.array([sp.x for sp in points]),
+        grid_step,
+        tol,
+    )
+    return tuple(
+        StationaryGlobality(x=sp.x, lam=sp.multipliers.lam, verdict=verdict)
+        for sp, verdict in zip(points, verdicts)
+    )
 
 
 def theorem_crosscheck(
@@ -777,20 +799,30 @@ def theorem_crosscheck(
     kt_points = scan_critical_points(problem, grid_step, StationaryKind.KT, tol)
 
     checks = []
+    graded = {}  # the strict and nonstrict kinds grade the same points
     for kind, base, points in (
         (InvexityKind.INVEX, unconstrained, critical),
         (InvexityKind.STRICT_INVEX, unconstrained, critical),
         (InvexityKind.KT_INVEX, problem, kt_points),
         (InvexityKind.STRICT_KT_INVEX, problem, kt_points),
     ):
-        l_side, l_failures = _grade_stationary(
-            base, points, grid_step, kind.is_strict, tol
+        if kind.is_kt not in graded:
+            graded[kind.is_kt] = _grade_stationary(base, points, grid_step, tol)
+        # L side: every stationary point Global (strict: UniqueGlobal) for its λ
+        l_failures = tuple(
+            g
+            for g in graded[kind.is_kt]
+            if not (
+                g.verdict.globality is Globality.UNIQUE_GLOBAL
+                if kind.is_strict
+                else g.verdict.is_global
+            )
         )
         domain = certify_domain(base, kind, sampler, tol)
         checks.append(
             TheoremCheck(
                 kind=kind,
-                stationary_side=l_side,
+                stationary_side=not l_failures,
                 kernel_side=domain.all_pairs_kernel,
                 stationary_count=len(points),
                 stationary_failures=l_failures,

@@ -2,9 +2,9 @@
 
 A problem minimizes a vector of objectives over a closed box, subject to
 inequality constraints ``g_j(x) <= 0``. Everything downstream (stationarity
-scans, weighting runs, invexity certifiers) consumes the `EvaluatedPoint`
-bundle produced here, so this module is the single place where expressions
-are parsed and differentiated.
+scans, weighting runs, invexity certifiers) consumes the `PointBatch` and
+`EvaluatedPoint` bundles produced here, so this module is the single place
+where expressions are parsed and differentiated.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .expressions import Expr, eval_with_gradient, parse
+from .expressions import Expr, forward, parse
 from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
 #: Half-width of the tolerance band around box edges when checking membership,
@@ -120,6 +120,83 @@ class EvaluatedPoint:
         return self.constraint_jacobian[list(self.active_indices)]
 
 
+@dataclass(frozen=True)
+class PointBatch:
+    """Values, Jacobians, feasibility and active sets of one problem at N points."""
+
+    problem: Problem
+    x: np.ndarray                     # shape (N, s)
+    objective_values: np.ndarray      # shape (N, n)
+    objective_jacobian: np.ndarray    # shape (N, n, s)
+    constraint_values: np.ndarray     # shape (N, m)
+    constraint_jacobian: np.ndarray   # shape (N, m, s)
+    active: np.ndarray                # shape (N, m): |g_j(x)| <= tol.active
+    feasible: np.ndarray              # shape (N,): all g_j(x) <= tol.feasibility
+
+    def point(self, i: int) -> EvaluatedPoint:
+        """Row ``i`` as an EvaluatedPoint whose arrays are views of the batch's."""
+        return EvaluatedPoint(
+            problem=self.problem,
+            x=self.x[i],
+            objective_values=self.objective_values[i],
+            objective_jacobian=self.objective_jacobian[i],
+            constraint_values=self.constraint_values[i],
+            constraint_jacobian=self.constraint_jacobian[i],
+            active_indices=tuple(int(j) for j in np.flatnonzero(self.active[i])),
+            feasible=bool(self.feasible[i]),
+        )
+
+
+def as_point(problem: Problem, x) -> np.ndarray:
+    """``x`` as a float array of shape (dimension,)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (problem.dimension,):
+        raise DimensionMismatchError(
+            f"point has shape {x.shape}, expected ({problem.dimension},)"
+        )
+    return x
+
+
+def evaluate_many(
+    problem: Problem, points, tol: ToleranceConfig = DEFAULT_TOL
+) -> PointBatch:
+    """Evaluate all objectives and constraints with gradients at each row of
+    ``points`` (shape (N, dimension)) in one batched pass.
+
+    Raises what a loop of `evaluate` over the rows raises first: an
+    OutOfBoxError when a point leaves the box by more than the edge slack,
+    or the DomainError of expression evaluation.
+    """
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != problem.dimension:
+        raise DimensionMismatchError(
+            f"points have shape {x.shape}, expected (N, {problem.dimension})"
+        )
+    asts = problem.objective_asts + problem.constraint_asts
+    outside = (x < problem.lower - BOX_EDGE_SLACK) | (x > problem.upper + BOX_EDGE_SLACK)
+    if outside.any():
+        row = int(np.flatnonzero(outside.any(axis=1))[0])
+        forward(asts, x[:row])  # a DomainError at an earlier point comes first
+        i = int(np.flatnonzero(outside[row])[0])
+        lo, hi = problem.box[i]
+        raise OutOfBoxError(
+            f"{problem.variables[i]} = {x[row, i]:.6g} outside [{lo:g}, {hi:g}]"
+        )
+    values, jacobian = forward(asts, x)
+    n = problem.n_objectives
+    g = np.ascontiguousarray(values[:, n:])
+    return PointBatch(
+        problem=problem,
+        x=x,
+        objective_values=np.ascontiguousarray(values[:, :n]),
+        objective_jacobian=np.ascontiguousarray(jacobian[:, :n]),
+        constraint_values=g,
+        constraint_jacobian=np.ascontiguousarray(jacobian[:, n:]),
+        active=np.abs(g) <= tol.active,
+        feasible=np.all(g <= tol.feasibility, axis=1),
+    )
+
+
 def evaluate(
     problem: Problem, x, tol: ToleranceConfig = DEFAULT_TOL
 ) -> EvaluatedPoint:
@@ -128,40 +205,7 @@ def evaluate(
     Raises OutOfBoxError when ``x`` leaves the box by more than the edge
     slack, and propagates DomainError from expression evaluation.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (problem.dimension,):
-        raise DimensionMismatchError(
-            f"point has shape {x.shape}, expected ({problem.dimension},)"
-        )
-    for i, (lo, hi) in enumerate(problem.box):
-        if x[i] < lo - BOX_EDGE_SLACK or x[i] > hi + BOX_EDGE_SLACK:
-            raise OutOfBoxError(
-                f"{problem.variables[i]} = {x[i]:.6g} outside [{lo:g}, {hi:g}]"
-            )
-
-    f = np.zeros(problem.n_objectives)
-    jac_f = np.zeros((problem.n_objectives, problem.dimension))
-    for i, ast in enumerate(problem.objective_asts):
-        f[i], jac_f[i] = eval_with_gradient(ast, x)
-
-    m = problem.n_constraints
-    g = np.zeros(m)
-    jac_g = np.zeros((m, problem.dimension))
-    for j, ast in enumerate(problem.constraint_asts):
-        g[j], jac_g[j] = eval_with_gradient(ast, x)
-
-    active = tuple(j for j in range(m) if abs(g[j]) <= tol.active)
-    feasible = bool(np.all(g <= tol.feasibility)) if m else True
-    return EvaluatedPoint(
-        problem=problem,
-        x=x,
-        objective_values=f,
-        objective_jacobian=jac_f,
-        constraint_values=g,
-        constraint_jacobian=jac_g,
-        active_indices=active,
-        feasible=feasible,
-    )
+    return evaluate_many(problem, as_point(problem, x)[None], tol).point(0)
 
 
 class VectorOrder(Enum):

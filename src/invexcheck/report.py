@@ -27,11 +27,13 @@ from .invexity import (
     RandomSampler,
     certify_domain,
     theorem_crosscheck,
-    validate_pair_verdict,
+    validate_evaluated_pair,
 )
 from .problems import (
+    EvaluatedPoint,
     Problem,
-    evaluate,
+    as_point,
+    evaluate_many,
     problem_from_dict,
     problem_to_dict,
     without_constraints,
@@ -309,6 +311,31 @@ def strip_timings(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings_ms"}
 
 
+class _Replay:
+    """The distinct replay points of one problem variant, evaluated together.
+
+    `add` every point first; the first lookup evaluates them in one batch.
+    """
+
+    def __init__(self, problem: Problem, tol: ToleranceConfig):
+        self.problem, self.tol = problem, tol
+        self._rows: dict[bytes, int] = {}
+        self._batch = None
+
+    def add(self, x) -> np.ndarray:
+        x = as_point(self.problem, x)
+        self._rows.setdefault(x.tobytes(), len(self._rows))
+        return x
+
+    def __getitem__(self, x: np.ndarray) -> EvaluatedPoint:
+        if self._batch is None:
+            points = np.frombuffer(b"".join(self._rows), dtype=float)
+            self._batch = evaluate_many(
+                self.problem, points.reshape(-1, self.problem.dimension), self.tol
+            )
+        return self._batch.point(self._rows[x.tobytes()])
+
+
 def verify_report(report: dict) -> list[str]:
     """Independently replay every multiplier, kernel, and certificate.
 
@@ -326,22 +353,49 @@ def verify_report(report: dict) -> list[str]:
     except (KeyError, TypeError) as exc:
         return [f"tolerance block invalid: {exc}"]
 
-    unconstrained = None
-    for entry in report.get("critical_points", ()):
-        x, lam = np.array(entry["x"]), np.array(entry["lam"])
-        if unconstrained is None:
-            unconstrained = without_constraints(problem)
-        ep = evaluate(unconstrained, x, tol)
+    # keyed by whether the constraints count, as for the KT kinds
+    unconstrained = without_constraints(problem)
+    replay = {False: _Replay(unconstrained, tol), True: _Replay(problem, tol)}
+    if unconstrained is problem:
+        replay[False] = replay[True]
+    critical = [
+        (entry, replay[False].add(entry["x"]), np.array(entry["lam"]))
+        for entry in report.get("critical_points", ())
+    ]
+    kt = [
+        (entry, replay[True].add(entry["x"]), np.array(entry["lam"]))
+        for entry in report.get("kt_points", ())
+    ]
+    minimizers = [
+        (run, minimizer, replay[True].add(minimizer))
+        for run in report.get("weighting_runs", ())
+        for minimizer in run["minimizers"]
+    ]
+    pairs = []
+    for kind_name, verdict_data in report.get("pair_verdicts", {}).items():
+        for group in ("failures", "kernel_samples"):
+            for item in verdict_data.get(group, ()):
+                label = f"{kind_name} pair (xbar={item['xbar']}, x={item['x']})"
+                pairs.append((label, replay[InvexityKind(kind_name).is_kt], item))
+    for check in report.get("crosscheck", {}).get("checks", ()):
+        for item in check.get("kernel_failures", ()):
+            label = f"crosscheck {check['kind']} failure pair"
+            pairs.append((label, replay[InvexityKind(check["kind"]).is_kt], item))
+    for _, points, item in pairs:
+        points.add(item["xbar"])
+        points.add(item["x"])
+
+    for entry, x, lam in critical:
+        ep = replay[False][x]
         resid = float(np.max(np.abs(lam @ ep.objective_jacobian)))
         if resid > tol.stationary:
             defects.append(f"critical point {entry['x']}: residual {resid:.3e}")
         if float(lam.min()) < -tol.strict or abs(float(lam.sum()) - 1) > tol.strict:
             defects.append(f"critical point {entry['x']}: weights invalid")
 
-    for entry in report.get("kt_points", ()):
-        x, lam = np.array(entry["x"]), np.array(entry["lam"])
+    for entry, x, lam in kt:
         mu = np.array(entry["mu"], dtype=float)
-        ep = evaluate(problem, x, tol)
+        ep = replay[True][x]
         if not ep.feasible:
             defects.append(f"kt point {entry['x']}: infeasible")
             continue
@@ -357,39 +411,21 @@ def verify_report(report: dict) -> list[str]:
         if mu.size and float(mu.min()) < -tol.strict:
             defects.append(f"kt point {entry['x']}: negative constraint multiplier")
 
-    for run in report.get("weighting_runs", ()):
+    for run, minimizer, x in minimizers:
         lam = np.array(run["lam"])
-        for minimizer in run["minimizers"]:
-            ep = evaluate(problem, np.array(minimizer), tol)
-            if not ep.feasible:
-                defects.append(f"weighting minimizer {minimizer}: infeasible")
-            value = float(lam @ ep.objective_values)
-            if value < run["value"] - tol.strict or value > run["value"] + 1e-6:
-                defects.append(
-                    f"weighting minimizer {minimizer}: value {value:.6e} "
-                    f"!= recorded {run['value']:.6e}"
-                )
+        ep = replay[True][x]
+        if not ep.feasible:
+            defects.append(f"weighting minimizer {minimizer}: infeasible")
+        value = float(lam @ ep.objective_values)
+        if value < run["value"] - tol.strict or value > run["value"] + 1e-6:
+            defects.append(
+                f"weighting minimizer {minimizer}: value {value:.6e} "
+                f"!= recorded {run['value']:.6e}"
+            )
 
-    for kind_name, verdict_data in report.get("pair_verdicts", {}).items():
-        base = problem
-        if not InvexityKind(kind_name).is_kt:
-            base = without_constraints(problem)
-        for group in ("failures", "kernel_samples"):
-            for item in verdict_data.get(group, ()):
-                verdict = pair_verdict_from_dict(item)
-                for issue in validate_pair_verdict(base, verdict, tol):
-                    defects.append(
-                        f"{kind_name} pair (xbar={item['xbar']}, x={item['x']}): {issue}"
-                    )
-
-    for check in report.get("crosscheck", {}).get("checks", ()):
-        base = problem
-        if not InvexityKind(check["kind"]).is_kt:
-            base = without_constraints(problem)
-        for item in check.get("kernel_failures", ()):
-            verdict = pair_verdict_from_dict(item)
-            for issue in validate_pair_verdict(base, verdict, tol):
-                defects.append(
-                    f"crosscheck {check['kind']} failure pair: {issue}"
-                )
+    for label, points, item in pairs:
+        verdict = pair_verdict_from_dict(item)
+        pbar, p = points[verdict.xbar], points[verdict.x]
+        for issue in validate_evaluated_pair(pbar, p, verdict, tol):
+            defects.append(f"{label}: {issue}")
     return defects

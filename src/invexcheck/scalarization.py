@@ -10,6 +10,7 @@ continuum between nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -17,8 +18,13 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .expressions import eval_value
-from .problems import InfeasiblePointError, Problem, evaluate, grid_points
+from .problems import (
+    InfeasiblePointError,
+    Problem,
+    as_point,
+    evaluate_many,
+    grid_points,
+)
 from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
 _ARMIJO = 1e-4
@@ -83,23 +89,11 @@ class _GridEval:
 
 @lru_cache(maxsize=64)
 def _grid_eval(problem: Problem, grid_step: float, tol: ToleranceConfig) -> _GridEval:
-    nodes = grid_points(problem, grid_step)
-    count = nodes.shape[0]
-    values = np.zeros((count, problem.n_objectives))
-    feasible = np.ones(count, dtype=bool)
-    obj_asts = problem.objective_asts
-    con_asts = problem.constraint_asts
-    for idx in range(count):
-        x = nodes[idx]
-        for j, ast in enumerate(con_asts):
-            if eval_value(ast, x) > tol.feasibility:
-                feasible[idx] = False
-                break
-        for i, ast in enumerate(obj_asts):
-            values[idx, i] = eval_value(ast, x)
-    for array in (nodes, values, feasible):
+    batch = evaluate_many(problem, grid_points(problem, grid_step), tol)
+    ge = _GridEval(nodes=batch.x, values=batch.objective_values, feasible=batch.feasible)
+    for array in (ge.nodes, ge.values, ge.feasible):
         array.flags.writeable = False
-    return _GridEval(nodes=nodes, values=values, feasible=feasible)
+    return ge
 
 
 def _feasible_grid(problem: Problem, grid_step: float, tol: ToleranceConfig):
@@ -111,51 +105,70 @@ def _feasible_grid(problem: Problem, grid_step: float, tol: ToleranceConfig):
     return ge.nodes[ge.feasible], ge.values[ge.feasible]
 
 
-def _weighted_value(problem: Problem, lam: np.ndarray, x: np.ndarray) -> float:
-    values = [eval_value(ast, x) for ast in problem.objective_asts]
-    return float(lam @ np.array(values))
+def _worst(constraint_values: np.ndarray) -> np.ndarray:
+    """Per row: the largest constraint value, floored at zero (0 when m = 0)."""
+    if constraint_values.shape[1] == 0:
+        return np.zeros(len(constraint_values))
+    return np.fmax(constraint_values.max(axis=1), 0.0)
 
 
 def _polish(
-    problem: Problem, lam: np.ndarray, start: np.ndarray, tol: ToleranceConfig
-) -> np.ndarray:
-    """Projected gradient descent on w·f from a feasible grid node.
+    problem: Problem, lam: np.ndarray, starts: np.ndarray, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient descent on w·f from feasible grid nodes, in lockstep.
 
-    Trial points are clipped to the box, and a trial may never increase the
-    worst constraint value beyond the current iterate's (floored at zero),
-    so the polish cannot drift into the feasibility-tolerance band; the
-    sharpening is best-effort and never claims more than the grid does.
+    Each start runs its own descent: at most 500 steps, each backtracking
+    from step 1 by halves until an Armijo decrease. Trial points are
+    clipped to the box, and a trial may never increase the worst constraint
+    value beyond the current iterate's (floored at zero), so the polish
+    cannot drift into the feasibility-tolerance band; the sharpening is
+    best-effort and never claims more than the grid does. All starts still
+    running share one batched evaluation per round of trials. Returns the
+    polished points (K, s) and their values w·f.
     """
     lo, hi = problem.lower, problem.upper
-    x = np.clip(start.astype(float), lo, hi)
-    ep = evaluate(problem, x, tol)
-    value = float(lam @ ep.objective_values)
+    x = np.clip(starts.astype(float), lo, hi)
+    batch = evaluate_many(problem, x, tol)
+    value = np.array([float(lam @ f) for f in batch.objective_values])
+    allowed = _worst(batch.constraint_values)
+    grad = np.empty_like(x)
+    step = np.ones(len(x))
+    steps_taken = np.zeros(len(x), dtype=int)
+    running = np.ones(len(x), dtype=bool)
 
-    def worst(point_ep) -> float:
-        if point_ep.constraint_values.size == 0:
-            return 0.0
-        return max(0.0, float(point_ep.constraint_values.max()))
+    def descend(rows, jacobians) -> None:
+        """New gradients at ``rows``; stop those that converged or ran out.
 
-    allowed = worst(ep)
-    for _ in range(_POLISH_MAX_ITERS):
-        grad = lam @ ep.objective_jacobian
-        if np.linalg.norm(x - np.clip(x - grad, lo, hi)) <= _POLISH_GRAD_TOL:
-            break
-        step, accepted = 1.0, False
-        while step > 1e-16:
-            trial = np.clip(x - step * grad, lo, hi)
-            trial_ep = evaluate(problem, trial, tol)
-            if worst(trial_ep) <= allowed:
-                trial_value = float(lam @ trial_ep.objective_values)
-                if trial_value <= value + _ARMIJO * float(grad @ (trial - x)):
-                    x, ep, value = trial, trial_ep, trial_value
-                    allowed = worst(ep)
-                    accepted = True
-                    break
-            step *= 0.5
-        if not accepted:
-            break
-    return x
+        Products and norms are taken one row at a time, with the calls a
+        single start makes, so that every start rounds as it would alone.
+        """
+        for row, jac in zip(rows, jacobians):
+            grad[row] = lam @ jac
+        gap = x[rows] - np.clip(x[rows] - grad[rows], lo, hi)
+        norms = np.array([math.sqrt(v @ v) for v in gap])  # np.linalg.norm
+        done = (norms <= _POLISH_GRAD_TOL) | (steps_taken[rows] == _POLISH_MAX_ITERS)
+        running[rows[done]] = False
+        step[rows] = 1.0
+
+    descend(np.arange(len(x)), batch.objective_jacobian)
+    while running.any():
+        rows = np.flatnonzero(running)
+        trial = np.clip(x[rows] - step[rows, None] * grad[rows], lo, hi)
+        batch = evaluate_many(problem, trial, tol)
+        trial_value = np.array([float(lam @ f) for f in batch.objective_values])
+        accept = _worst(batch.constraint_values) <= allowed[rows]
+        for i, row in enumerate(rows):
+            accept[i] &= trial_value[i] <= value[row] + _ARMIJO * float(
+                grad[row] @ (trial[i] - x[row])
+            )
+        moved = rows[accept]
+        x[moved], value[moved] = trial[accept], trial_value[accept]
+        allowed[moved] = _worst(batch.constraint_values[accept])
+        steps_taken[moved] += 1
+        step[rows[~accept]] *= 0.5
+        running[rows[~accept]] = step[rows[~accept]] > 1e-16
+        descend(moved, batch.objective_jacobian[accept])
+    return x, value
 
 
 def _dedupe(points: list[np.ndarray], radius: float) -> list[np.ndarray]:
@@ -195,9 +208,11 @@ def solve_weighting(
     best = float(weighted.min())
     tie = weighted <= best + tol.value_tie
     grid_minimizers = nodes[tie]
-    polished = [_polish(problem, lam, node, tol) for node in grid_minimizers]
+    points, values = _polish(problem, lam, grid_minimizers, tol)
+    polished = list(points)
     minimizers = _dedupe(polished, _CLUSTER_RADIUS)
-    value = min(_weighted_value(problem, lam, x) for x in minimizers)
+    kept = {id(x) for x in minimizers}
+    value = min(float(v) for x, v in zip(polished, values) if id(x) in kept)
     return WeightingSolution(
         minimizers=minimizers,
         value=value,
@@ -237,15 +252,36 @@ def is_global_weighting_solution(
     NotGlobal carries the best strictly-better node; Global (without
     uniqueness) carries a value-tying node farther than the cluster radius.
     """
-    lam = w.array
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ep = evaluate(problem, x, tol)
-    if not ep.feasible:
+    return grade_weighting_solutions(
+        problem, (w,), as_point(problem, x)[None], grid_step, tol
+    )[0]
+
+
+def grade_weighting_solutions(
+    problem: Problem,
+    weights,
+    points,
+    grid_step: float,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> tuple[GlobalityVerdict, ...]:
+    """`is_global_weighting_solution` for each weight and row of ``points``
+    (shape (K, s)), with one batched evaluation of the candidates."""
+    batch = evaluate_many(problem, points, tol)
+    infeasible = np.flatnonzero(~batch.feasible)
+    if infeasible.size:
         raise InfeasiblePointError(
-            f"candidate violates constraints by {ep.constraint_values.max():.3e}"
+            "candidate violates constraints by "
+            f"{batch.constraint_values[infeasible[0]].max():.3e}"
         )
-    candidate_value = float(lam @ ep.objective_values)
     nodes, values = _feasible_grid(problem, grid_step, tol)
+    return tuple(
+        _grade(w.array, x, f, nodes, values, tol)
+        for w, x, f in zip(weights, batch.x, batch.objective_values)
+    )
+
+
+def _grade(lam, x, f, nodes, values, tol: ToleranceConfig) -> GlobalityVerdict:
+    candidate_value = float(lam @ f)
     weighted = values @ lam
     best_idx = int(np.argmin(weighted))
     if weighted[best_idx] < candidate_value - tol.strict:

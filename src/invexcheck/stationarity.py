@@ -37,7 +37,7 @@ from .problems import (
     EvaluatedPoint,
     InfeasiblePointError,
     Problem,
-    evaluate,
+    evaluate_many,
     grid_points,
     without_constraints,
 )
@@ -54,7 +54,7 @@ from .simplex import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class CriticalMultipliers:
     """Weights λ with λ ≧ 0, Σλ = 1, and λ·Jf(x) ≈ 0."""
 
@@ -62,7 +62,7 @@ class CriticalMultipliers:
     residual: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class KtMultipliers:
     """Weights λ plus active-constraint multipliers μ balancing the gradients."""
 
@@ -77,7 +77,7 @@ class StationaryKind(Enum):
     KT = "kt"
 
 
-@dataclass
+@dataclass(frozen=True)
 class StationaryPoint:
     x: np.ndarray
     kind: StationaryKind
@@ -258,18 +258,19 @@ def _scan(
     kind: StationaryKind,
     tol: ToleranceConfig,
 ) -> tuple[StationaryPoint, ...]:
-    points = [evaluate(problem, node, tol) for node in grid_points(problem, grid_step)]
+    batch = evaluate_many(problem, grid_points(problem, grid_step), tol)
+    rows = np.arange(len(batch.x))
     if kind is StationaryKind.KT:
-        points = [ep for ep in points if ep.feasible]
-    if not points:
+        rows = rows[batch.feasible]
+    if not rows.size:
         return ()
-    ruled_out = _ruled_out(np.stack([ep.objective_jacobian for ep in points]), tol)
+    # active constraint gradients can balance a descent direction; the
+    # vector scan's problem has no constraints, hence no active set
+    ruled_out = _ruled_out(batch.objective_jacobian[rows], tol)
+    ruled_out &= ~batch.active[rows].any(axis=1)
     found: list[StationaryPoint] = []
-    for ep, skip in zip(points, ruled_out):
-        # active constraint gradients can balance a descent direction; the
-        # vector scan's problem has no constraints, hence no active set
-        if skip and not ep.active_indices:
-            continue
+    for row in rows[~ruled_out]:
+        ep = batch.point(row)
         if kind is StationaryKind.KT:
             mult = kt_multipliers(ep, tol)
         else:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from problemgen import small_polynomial_problems
 
 from invexcheck.invexity import (
     DEGENERATE_PAIR_RADIUS,
@@ -11,6 +12,8 @@ from invexcheck.invexity import (
     GridSampler,
     InvexityKind,
     RandomSampler,
+    StationaryGlobality,
+    _grade_stationary,
     certify_domain,
     invex_pair,
     kt_invex_pair,
@@ -28,7 +31,13 @@ from invexcheck.problems import (
     fixture_names,
     without_constraints,
 )
+from invexcheck.scalarization import (
+    Globality,
+    WeightVector,
+    is_global_weighting_solution,
+)
 from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
+from invexcheck.stationarity import StationaryKind, scan_critical_points
 
 # objective pulls right at the boundary x = 1 of the disconnected feasible
 # set {|x| >= 1}, while lower values live on the far component: the KT
@@ -373,35 +382,6 @@ def test_random_sweep_matches_pairwise_reference(kind):
     )
 
 
-_COEFFICIENTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0])
-
-
-@st.composite
-def small_polynomial_problems(draw):
-    variables = ("x", "y")[: draw(st.integers(1, 2))]
-    exponents = st.tuples(*[st.integers(0, 3) for _ in variables])
-
-    def polynomial():
-        terms = draw(
-            st.lists(st.tuples(_COEFFICIENTS, exponents), min_size=1, max_size=3)
-        )
-        parts = []
-        for coeff, powers in terms:
-            factors = [f"({coeff!r})"] + [
-                f"{v}^{k}" for v, k in zip(variables, powers) if k
-            ]
-            parts.append(" * ".join(factors))
-        return " + ".join(parts)
-
-    return Problem(
-        name="random-polynomial",
-        variables=variables,
-        objectives=(polynomial(), polynomial()),
-        constraints=tuple(polynomial() for _ in range(draw(st.integers(0, 1)))),
-        box=((-1.0, 1.0),) * len(variables),
-    )
-
-
 @settings(max_examples=50, deadline=None)
 @given(small_polynomial_problems(), st.sampled_from(list(InvexityKind)))
 def test_sweep_matches_pairwise_reference_on_random_polynomials(problem, kind):
@@ -411,3 +391,76 @@ def test_sweep_matches_pairwise_reference_on_random_polynomials(problem, kind):
     except (InfeasiblePointError, NumericalBreakdownError):
         reject()
     assert_sweep_matches(problem, kind, sampler, reference)
+
+
+def reference_grade_stationary(problem, points, grid_step, strict, tol=DEFAULT_TOL):
+    """Reference L side: `is_global_weighting_solution` at one stationary
+    point at a time, as the crosscheck graded them before one batched
+    evaluation served all points of a kind."""
+    failures = []
+    for sp in points:
+        lam = sp.multipliers.lam
+        verdict = is_global_weighting_solution(
+            problem, WeightVector(tuple(lam)), sp.x, grid_step, tol
+        )
+        ok = verdict.globality is Globality.UNIQUE_GLOBAL if strict else verdict.is_global
+        if not ok:
+            failures.append(StationaryGlobality(x=sp.x, lam=lam, verdict=verdict))
+    return not failures, tuple(failures)
+
+
+def same_grade(a, b):
+    va, vb = a.verdict, b.verdict
+    witness = (va.witness is None) == (vb.witness is None) and (
+        va.witness is None or va.witness.tobytes() == vb.witness.tobytes()
+    )
+    return (
+        a.x.tobytes() == b.x.tobytes()
+        and a.lam.tobytes() == b.lam.tobytes()
+        and va.globality is vb.globality
+        and va.value == vb.value
+        and witness
+        and va.witness_value == vb.witness_value
+    )
+
+
+def assert_grades_match_reference(problem, grid_step):
+    """Every grade of the batched L side, and the crosscheck's failures,
+    against the per-point reference."""
+    unconstrained = without_constraints(problem)
+    crosscheck = theorem_crosscheck(problem, grid_step, pair_step=1.0)
+    for kind in InvexityKind:
+        base = problem if kind.is_kt else unconstrained
+        points = scan_critical_points(
+            base, grid_step, StationaryKind.KT if kind.is_kt else StationaryKind.VECTOR
+        )
+        got = _grade_stationary(base, points, grid_step, DEFAULT_TOL)
+        assert len(got) == len(points)
+        for graded, sp in zip(got, points):
+            lam = sp.multipliers.lam
+            verdict = is_global_weighting_solution(
+                base, WeightVector(tuple(lam)), sp.x, grid_step
+            )
+            assert same_grade(graded, StationaryGlobality(sp.x, lam, verdict))
+        l_side, failures = reference_grade_stationary(base, points, grid_step, kind.is_strict)
+        check = crosscheck.check_for(kind)
+        assert check.stationary_side == l_side
+        assert len(check.stationary_failures) == len(failures)
+        assert all(map(same_grade, check.stationary_failures, failures))
+
+
+# the benchmark's flat-1d grid (1/128); two-var-convex at a coarser grid,
+# as its 513 x 513 nodes would lengthen the suite
+@pytest.mark.parametrize("name", fixture_names())
+def test_batched_grading_matches_per_point_reference(name):
+    problem = fixture(name)
+    assert_grades_match_reference(problem, 1 / 16 if problem.dimension == 2 else 1 / 128)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polynomial_problems())
+def test_batched_grading_matches_reference_on_random_polynomials(problem):
+    try:
+        assert_grades_match_reference(problem, 0.25)
+    except (InfeasiblePointError, NumericalBreakdownError):
+        reject()

@@ -155,6 +155,21 @@ def test_cli_analyze_problem_file(tmp_path, capsys):
     assert json.loads(out)["problem_name"] == "toy"
 
 
+def test_cli_analyze_power_overflow_is_an_input_error(tmp_path, capsys):
+    # 100^200 overflows a double: a DomainError, reported like exp overflow
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "name": "big",
+        "variables": ["x"],
+        "objectives": ["x^200"],
+        "box": [[-100, 100]],
+    }))
+    code = run_cli("analyze", str(path), "--grid-step", "50")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: power overflow in `x^200`")
+
+
 def test_cli_analyze_malformed_json_reports_byte_offset(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", ')
@@ -303,3 +318,105 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "invex"
+
+
+# -- batched evaluation guard --------------------------------------------------
+
+
+def _clear_stage_caches():
+    from invexcheck import invexity, scalarization, stationarity
+
+    for cached in (
+        stationarity._scan,
+        scalarization._grid_eval,
+        scalarization._weakly_efficient,
+        invexity._sample,
+        invexity._certify,
+    ):
+        cached.cache_clear()
+
+
+@pytest.fixture
+def evaluation_log(monkeypatch):
+    """Record (stage, call, problem has constraints, points) for every
+    `evaluate_many` and `evaluate` call; `stage` is set by the build_report
+    step that is running."""
+    import invexcheck
+    from invexcheck import problems, report
+
+    log, stage = [], ["-"]
+    real = {"evaluate_many": problems.evaluate_many, "evaluate": problems.evaluate}
+
+    def counted(name):
+        def call(problem, points, *args, **kwargs):
+            rows = len(points) if name == "evaluate_many" else 1
+            log.append((stage[0], name, bool(problem.constraints), rows))
+            return real[name](problem, points, *args, **kwargs)
+
+        return call
+
+    for module in [invexcheck] + [
+        m for name, m in vars(invexcheck).items() if name in (
+            "cli", "invexity", "problems", "report", "scalarization", "stationarity"
+        )
+    ]:
+        for name in real:
+            if getattr(module, name, None) is real[name]:
+                monkeypatch.setattr(module, name, counted(name))
+
+    def staged(label, fn):
+        def call(*args, **kwargs):
+            stage[0] = label(*args) if callable(label) else label
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(report, "scan_critical_points", staged(
+        lambda problem, step, kind, tol: f"scan-{kind.value}", report.scan_critical_points
+    ))
+    for name, label in (
+        ("weakly_efficient_scan", "weakly"),
+        ("solve_weighting", "weighting"),
+        ("certify_domain", "pairs"),
+        ("theorem_crosscheck", "crosscheck"),
+    ):
+        monkeypatch.setattr(report, name, staged(label, getattr(report, name)))
+    _clear_stage_caches()
+    yield log
+    _clear_stage_caches()
+
+
+def test_build_report_evaluates_each_stage_in_one_batch(evaluation_log):
+    problem = fixture("two-var-convex")
+    build_report(problem, grid_step=0.25)
+    grid = 17 * 17
+    assert not [entry for entry in evaluation_log if entry[1] == "evaluate"]
+    per_stage = {}
+    for stage, _, constrained, rows in evaluation_log:
+        per_stage.setdefault((stage, constrained), []).append(rows)
+    # one batch per stage and problem variant; the weighting stage reuses
+    # the weakly-efficient scan's grid and polishes each weight's ties
+    assert per_stage.pop(("scan-vector", False)) == [grid]
+    assert per_stage.pop(("scan-kt", True)) == [grid]
+    assert per_stage.pop(("weakly", True)) == [grid]
+    assert per_stage.pop(("pairs", False)) == [grid]
+    assert per_stage.pop(("pairs", True)) == [grid]
+    # the stationary points of each variant (5 on [0, 1] x {0}), and the
+    # unconstrained grid that their grades compare with
+    assert sorted(per_stage.pop(("crosscheck", False))) == [5, grid]
+    assert per_stage.pop(("crosscheck", True)) == [5]
+    # each of the 11 weights has one grid minimizer, polished in 2 or 3
+    # rounds of one batched evaluation each (27 in all)
+    polish = per_stage.pop(("weighting", True))
+    assert polish == [1] * len(polish) and len(polish) <= 3 * 11
+    assert per_stage == {}
+
+
+def test_polish_advances_tied_starts_together(evaluation_log):
+    # paper-example-2.1 is flat on [-1, 1]: 9 tied grid minimizers at step
+    # 0.25, each already stationary, polished by one batched evaluation
+    from invexcheck.scalarization import WeightVector, solve_weighting
+
+    sol = solve_weighting(fixture("paper-example-2.1"), WeightVector((0.5, 0.5)), 0.25)
+    assert len(sol.grid_minimizers) == 9
+    assert [rows for *_, rows in evaluation_log] == [25, 9]

@@ -4,26 +4,33 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from problemgen import small_polynomial_problems
 
 from invexcheck.problems import (
     Problem,
     evaluate,
     fixture,
+    fixture_names,
     grid_points,
     strictly_less,
 )
 from invexcheck.scalarization import (
+    _ARMIJO,
     _CLUSTER_RADIUS,
+    _POLISH_GRAD_TOL,
+    _POLISH_MAX_ITERS,
     EmptyFeasibleSetError,
     Globality,
     WeightVector,
     _dedupe,
     _dominated,
+    _feasible_grid,
     is_global_weighting_solution,
     simplex_weights,
     solve_weighting,
     weakly_efficient_scan,
 )
+from invexcheck.simplex import DEFAULT_TOL
 
 
 def test_weight_vector_validation():
@@ -256,3 +263,83 @@ def test_dedupe_matches_naive_reference(rows):
     assert len(got) == len(want)
     assert all(a is b for a, b in zip(got, want))
 
+
+
+def reference_polish(problem, lam, start, tol=DEFAULT_TOL):
+    """Reference polish: one start at a time, one `evaluate` per trial point.
+
+    This is how `solve_weighting` polished each grid minimizer before all
+    tied starts ran in lockstep on batched evaluations.
+    """
+    lo, hi = problem.lower, problem.upper
+    x = np.clip(start.astype(float), lo, hi)
+    ep = evaluate(problem, x, tol)
+    value = float(lam @ ep.objective_values)
+
+    def worst(point_ep):
+        if point_ep.constraint_values.size == 0:
+            return 0.0
+        return max(0.0, float(point_ep.constraint_values.max()))
+
+    allowed = worst(ep)
+    for _ in range(_POLISH_MAX_ITERS):
+        grad = lam @ ep.objective_jacobian
+        if np.linalg.norm(x - np.clip(x - grad, lo, hi)) <= _POLISH_GRAD_TOL:
+            break
+        step, accepted = 1.0, False
+        while step > 1e-16:
+            trial = np.clip(x - step * grad, lo, hi)
+            trial_ep = evaluate(problem, trial, tol)
+            if worst(trial_ep) <= allowed:
+                trial_value = float(lam @ trial_ep.objective_values)
+                if trial_value <= value + _ARMIJO * float(grad @ (trial - x)):
+                    x, ep, value = trial, trial_ep, trial_value
+                    allowed = worst(ep)
+                    accepted = True
+                    break
+            step *= 0.5
+        if not accepted:
+            break
+    return x
+
+
+def reference_weighting(problem, w, grid_step, tol=DEFAULT_TOL):
+    """(grid minimizers, minimizers, value) with per-start polish and the
+    value re-evaluated at each kept minimizer."""
+    lam = w.array
+    nodes, values = _feasible_grid(problem, grid_step, tol)
+    weighted = values @ lam
+    grid_minimizers = nodes[weighted <= float(weighted.min()) + tol.value_tie]
+    polished = [reference_polish(problem, lam, node, tol) for node in grid_minimizers]
+    minimizers = _dedupe(polished, _CLUSTER_RADIUS)
+    value = min(float(lam @ evaluate(problem, x, tol).objective_values) for x in minimizers)
+    return grid_minimizers, minimizers, value
+
+
+def assert_weighting_matches_reference(problem, w, grid_step):
+    sol = solve_weighting(problem, w, grid_step)
+    grid_minimizers, minimizers, value = reference_weighting(problem, w, grid_step)
+    assert sol.grid_minimizers.tobytes() == grid_minimizers.tobytes()
+    assert [x.tobytes() for x in sol.minimizers] == [x.tobytes() for x in minimizers]
+    assert sol.value == value
+
+
+# the benchmark's flat-1d settings (grid 1/128, weights 0.1); two-var-convex
+# at a coarser grid, as its 513 x 513 nodes would lengthen the suite
+@pytest.mark.parametrize("name", fixture_names())
+def test_lockstep_polish_matches_per_start_reference(name):
+    problem = fixture(name)
+    step = 1 / 16 if problem.dimension == 2 else 1 / 128
+    for w in simplex_weights(problem.n_objectives, 0.1):
+        assert_weighting_matches_reference(problem, w, step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_polynomial_problems(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_lockstep_polish_matches_reference_on_random_polynomials(problem, w1):
+    w = WeightVector((1.0 - w1, w1))
+    try:
+        _feasible_grid(problem, 0.25, DEFAULT_TOL)
+    except EmptyFeasibleSetError:
+        return
+    assert_weighting_matches_reference(problem, w, 0.25)

@@ -1,5 +1,7 @@
 """Multiplier recovery and stationary-point grid scans."""
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -148,6 +150,23 @@ def test_scanned_points_are_read_only():
     for sp, (x, lam) in zip(again, original):
         assert np.array_equal(sp.x, x)
         assert np.array_equal(sp.multipliers.lam, lam)
+
+
+def test_scanned_points_cannot_be_rebound():
+    p = Problem(
+        name="bowl", variables=("x",), objectives=("x^2",), constraints=(),
+        box=((-1.0, 1.0),),
+    )
+    sp = scan_critical_points(p, 0.5, StationaryKind.VECTOR)[0]
+    with pytest.raises(FrozenInstanceError):
+        sp.x = 9
+    with pytest.raises(FrozenInstanceError):
+        sp.multipliers.lam = np.array([0.5])
+    kt = scan_critical_points(fixture("kt-linear-quad"), 0.25, StationaryKind.KT)[0]
+    with pytest.raises(FrozenInstanceError):
+        kt.multipliers.mu = np.array([1.0])
+    again = scan_critical_points(p, 0.5, StationaryKind.VECTOR)[0]
+    assert again.x.tolist() == [0.0]
 
 
 def reference_scan(problem, grid_step, kind, tol=DEFAULT_TOL):
