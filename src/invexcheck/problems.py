@@ -1,4 +1,4 @@
-"""Multiobjective problem model: boxes, evaluation, vector orders, fixtures.
+"""Multiobjective problem model: boxes, evaluation, fixtures.
 
 A problem minimizes a vector of objectives over a closed box, subject to
 inequality constraints ``g_j(x) <= 0``. Everything downstream (stationarity
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from enum import Enum
 from functools import cached_property
 
 import numpy as np
@@ -206,50 +205,6 @@ def evaluate(
     slack, and propagates DomainError from expression evaluation.
     """
     return evaluate_many(problem, as_point(problem, x)[None], tol).point(0)
-
-
-class VectorOrder(Enum):
-    """Strongest classification of ``a`` against ``b`` under componentwise order."""
-
-    STRICTLY_LESS = "strictly_less"    # a_i <  b_i for every i
-    LESS_NOT_EQUAL = "less_not_equal"  # a_i <= b_i for every i and a != b
-    LEQ_ALL = "leq_all"                # a_i <= b_i for every i (equality case)
-    INCOMPARABLE = "incomparable"
-
-
-def strictly_less(a, b) -> bool:
-    a, b = _paired(a, b)
-    return bool(np.all(a < b))
-
-
-def leq_not_equal(a, b) -> bool:
-    a, b = _paired(a, b)
-    return bool(np.all(a <= b) and np.any(a < b))
-
-
-def leq_all(a, b) -> bool:
-    a, b = _paired(a, b)
-    return bool(np.all(a <= b))
-
-
-def compare(a, b) -> VectorOrder:
-    """Classify a pair of equal-length vectors into its strongest order class."""
-    a, b = _paired(a, b)
-    if not np.all(a <= b):
-        return VectorOrder.INCOMPARABLE
-    if np.all(a < b):
-        return VectorOrder.STRICTLY_LESS
-    if np.any(a < b):
-        return VectorOrder.LESS_NOT_EQUAL
-    return VectorOrder.LEQ_ALL
-
-
-def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"cannot compare shapes {a.shape} and {b.shape}")
-    return a, b
 
 
 def axis_nodes(lo: float, hi: float, step: float) -> np.ndarray:

@@ -428,4 +428,33 @@ def verify_report(report: dict) -> list[str]:
         pbar, p = points[verdict.xbar], points[verdict.x]
         for issue in validate_evaluated_pair(pbar, p, verdict, tol):
             defects.append(f"{label}: {issue}")
+    defects.extend(_derived_flag_defects(report))
+    return defects
+
+
+def _derived_flag_defects(report: dict) -> list[str]:
+    """Recompute the booleans a report derives from its own lists."""
+    defects = []
+    for kind_name, verdict in report.get("pair_verdicts", {}).items():
+        if verdict.get("all_pairs_kernel") != (not verdict.get("failures")):
+            defects.append(
+                f"{kind_name} pair verdict: all_pairs_kernel contradicts its failures"
+            )
+    crosscheck = report.get("crosscheck")
+    if crosscheck is None:
+        return defects
+    checks = crosscheck.get("checks", ())
+    for check in checks:
+        label = f"crosscheck {check.get('kind')}"
+        for side, failures in (
+            ("stationary_side", "stationary_failures"),
+            ("kernel_side", "kernel_failures"),
+        ):
+            if check.get(side) != (not check.get(failures)):
+                defects.append(f"{label}: {side} contradicts its {failures}")
+        sides_agree = check.get("stationary_side") == check.get("kernel_side")
+        if check.get("agreement") != sides_agree:
+            defects.append(f"{label}: agreement contradicts its sides")
+    if crosscheck.get("agreement") != all(check.get("agreement") for check in checks):
+        defects.append("crosscheck: agreement contradicts its checks")
     return defects

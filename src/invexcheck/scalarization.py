@@ -265,7 +265,12 @@ def grade_weighting_solutions(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> tuple[GlobalityVerdict, ...]:
     """`is_global_weighting_solution` for each weight and row of ``points``
-    (shape (K, s)), with one batched evaluation of the candidates."""
+    (shape (K, s)), with one batched evaluation of the candidates.
+
+    The weighted grid values ``values @ λ`` and their argmin are computed
+    once per distinct weight (equal bytes), not once per candidate, and
+    shared by every candidate graded against that weight.
+    """
     batch = evaluate_many(problem, points, tol)
     infeasible = np.flatnonzero(~batch.feasible)
     if infeasible.size:
@@ -274,16 +279,23 @@ def grade_weighting_solutions(
             f"{batch.constraint_values[infeasible[0]].max():.3e}"
         )
     nodes, values = _feasible_grid(problem, grid_step, tol)
-    return tuple(
-        _grade(w.array, x, f, nodes, values, tol)
-        for w, x, f in zip(weights, batch.x, batch.objective_values)
-    )
+    weighted: dict[bytes, tuple[np.ndarray, int]] = {}
+    verdicts = []
+    for w, x, f in zip(weights, batch.x, batch.objective_values):
+        lam = w.array
+        key = lam.tobytes()
+        if key not in weighted:
+            grid_values = values @ lam
+            weighted[key] = grid_values, int(np.argmin(grid_values))
+        verdicts.append(_grade(lam, x, f, nodes, *weighted[key], tol))
+    return tuple(verdicts)
 
 
-def _grade(lam, x, f, nodes, values, tol: ToleranceConfig) -> GlobalityVerdict:
+def _grade(
+    lam, x, f, nodes, weighted, best_idx, tol: ToleranceConfig
+) -> GlobalityVerdict:
+    """Grade one candidate, given the grid's weighted values and their argmin."""
     candidate_value = float(lam @ f)
-    weighted = values @ lam
-    best_idx = int(np.argmin(weighted))
     if weighted[best_idx] < candidate_value - tol.strict:
         return GlobalityVerdict(
             globality=Globality.NOT_GLOBAL,

@@ -14,8 +14,16 @@ node is ruled out without an LP when ‖p‖ > 100·tol.stationary·max(1,
 max|Jf(x)|) (and min(1, ‖p‖) > 100·tol.feasibility, which the default
 tolerances imply), since no simplex weight can then bring λ·Jf within
 tolerance. KT scans apply this only at nodes with no active constraint.
-Nodes with active constraints, problems with three or more objectives and
-every node that survives go to the LP, so scans find exactly the points
+
+At a node where every entry of Jf(x) is exactly 0 and no constraint is
+active, with one or two objectives, the scan takes the result without an
+LP: every simplex weight balances, the min-max weight is uniform, λ = 1/n
+with residual 0, and the KT kind has no μ. The LP returns exactly these
+bytes there. With three or more objectives it rounds its uniform weight
+differently (for n = 3, (0x1.5555555555556p-2, 0x1.5555555555556p-2,
+0x1.5555555555555p-2)), so such nodes keep the LP. Nodes with active
+constraints, problems with three or more objectives and every other node
+that survives the screen go to the LP, so scans find exactly the points
 and multipliers the LP finds at every node.
 
 Recovered multipliers are canonicalized to make scans reproducible:
@@ -266,21 +274,34 @@ def _scan(
         return ()
     # active constraint gradients can balance a descent direction; the
     # vector scan's problem has no constraints, hence no active set
-    ruled_out = _ruled_out(batch.objective_jacobian[rows], tol)
-    ruled_out &= ~batch.active[rows].any(axis=1)
+    jacobians = batch.objective_jacobian[rows]
+    inactive = ~batch.active[rows].any(axis=1)
+    ruled_out = _ruled_out(jacobians, tol) & inactive
+    n = problem.n_objectives
+    flat = inactive & (n <= 2) & ~jacobians.any(axis=(1, 2))
     found: list[StationaryPoint] = []
-    for row in rows[~ruled_out]:
-        ep = batch.point(row)
-        if kind is StationaryKind.KT:
-            mult = kt_multipliers(ep, tol)
+    for row, closed_form in zip(rows[~ruled_out], flat[~ruled_out]):
+        x = batch.x[row]
+        if closed_form:
+            # the LP's answer at a flat node, bit for bit (module docstring)
+            lam = np.full(n, 1.0 / n)
+            lam /= lam.sum()
+            if kind is StationaryKind.KT:
+                mult = KtMultipliers(
+                    lam=lam, mu=np.empty(0), active_indices=(), residual=0.0
+                )
+            else:
+                mult = CriticalMultipliers(lam=lam, residual=0.0)
+        elif kind is StationaryKind.KT:
+            mult = kt_multipliers(batch.point(row), tol)
         else:
-            mult = critical_multipliers(ep, tol)
+            mult = critical_multipliers(batch.point(row), tol)
         if mult is not None:
             # cached and shared by every caller: hand out read-only arrays
             mu = (mult.mu,) if kind is StationaryKind.KT else ()
-            for array in (ep.x, mult.lam, *mu):
+            for array in (x, mult.lam, *mu):
                 array.flags.writeable = False
-            found.append(StationaryPoint(x=ep.x, kind=kind, multipliers=mult))
+            found.append(StationaryPoint(x=x, kind=kind, multipliers=mult))
     return tuple(found)
 
 

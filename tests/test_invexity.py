@@ -27,8 +27,10 @@ from invexcheck.problems import (
     InfeasiblePointError,
     Problem,
     evaluate,
+    evaluate_many,
     fixture,
     fixture_names,
+    grid_points,
     without_constraints,
 )
 from invexcheck.scalarization import (
@@ -37,7 +39,12 @@ from invexcheck.scalarization import (
     is_global_weighting_solution,
 )
 from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
-from invexcheck.stationarity import StationaryKind, scan_critical_points
+from invexcheck.stationarity import (
+    CriticalMultipliers,
+    StationaryKind,
+    StationaryPoint,
+    scan_critical_points,
+)
 
 # objective pulls right at the boundary x = 1 of the disconnected feasible
 # set {|x| >= 1}, while lower values live on the far component: the KT
@@ -464,3 +471,56 @@ def test_batched_grading_matches_reference_on_random_polynomials(problem):
         assert_grades_match_reference(problem, 0.25)
     except (InfeasiblePointError, NumericalBreakdownError):
         reject()
+
+
+# few distinct weights, so that many candidates share one
+_SHARED_WEIGHTS = [(0.5, 0.5), (1.0, 0.0), (0.25, 0.75)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polynomial_problems(), st.data())
+def test_batched_grading_shares_weights_like_per_point_reference(problem, data):
+    """Many candidates under a few interleaved weights: the weighted grid
+    values computed once per distinct weight grade each candidate as the
+    per-point reference does."""
+    batch = evaluate_many(problem, grid_points(problem, 0.25))
+    nodes = batch.x[batch.feasible]
+    if not len(nodes):
+        reject()
+    rows = data.draw(st.lists(st.integers(0, len(nodes) - 1), min_size=1, max_size=40))
+    weights = data.draw(
+        st.lists(st.sampled_from(_SHARED_WEIGHTS), min_size=len(rows), max_size=len(rows))
+    )
+    points = tuple(
+        StationaryPoint(
+            x=nodes[row],
+            kind=StationaryKind.VECTOR,
+            multipliers=CriticalMultipliers(lam=np.array(lam), residual=0.0),
+        )
+        for row, lam in zip(rows, weights)
+    )
+    got = _grade_stationary(problem, points, 0.25, DEFAULT_TOL)
+    for strict in (False, True):
+        _, want = reference_grade_stationary(problem, points, 0.25, strict)
+        failing = tuple(
+            g
+            for g in got
+            if not (
+                g.verdict.globality is Globality.UNIQUE_GLOBAL
+                if strict
+                else g.verdict.is_global
+            )
+        )
+        assert len(failing) == len(want)
+        assert all(map(same_grade, failing, want))
+    for graded, sp in zip(got, points):
+        verdict = is_global_weighting_solution(
+            problem, WeightVector(tuple(sp.multipliers.lam)), sp.x, 0.25
+        )
+        assert same_grade(graded, StationaryGlobality(sp.x, sp.multipliers.lam, verdict))
+
+
+def test_certify_domain_returns_the_cached_object():
+    # the README promises this for certify_domain (not for theorem_crosscheck)
+    first = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5))
+    assert certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5)) is first

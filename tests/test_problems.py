@@ -1,29 +1,22 @@
-"""Problem model: fixtures, evaluation, orders, sampling, (de)serialization."""
+"""Problem model: fixtures, evaluation, sampling, (de)serialization."""
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from invexcheck.problems import (
     OutOfBoxError,
     Problem,
     UnknownFixtureError,
-    VectorOrder,
-    compare,
     evaluate,
     fixture,
     fixture_names,
     grid_points,
-    leq_all,
-    leq_not_equal,
     load_problem,
     problem_from_dict,
     problem_to_dict,
     random_points,
-    strictly_less,
     without_constraints,
 )
 
@@ -96,42 +89,6 @@ def test_problem_validation():
         Problem("bad", ("x", "x"), ("x",), (), ((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
         Problem("bad", ("x",), ("y + 1",), (), ((-1.0, 1.0),))  # unknown var
-
-
-def test_vector_orders_hand_cases():
-    a, b = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-    assert strictly_less(a, b)
-    assert leq_not_equal(a, b)
-    assert leq_all(a, b)
-    assert compare(a, b) is VectorOrder.STRICTLY_LESS
-
-    c = np.array([1.0, 2.0])
-    assert not strictly_less(a, c)
-    assert leq_not_equal(a, c)
-    assert compare(a, c) is VectorOrder.LESS_NOT_EQUAL
-
-    assert compare(a, a) is VectorOrder.LEQ_ALL
-    assert compare(np.array([0.0, 3.0]), np.array([1.0, 1.0])) is (
-        VectorOrder.INCOMPARABLE
-    )
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.floats(-10, 10), min_size=1, max_size=5),
-    st.lists(st.floats(-10, 10), min_size=1, max_size=5),
-)
-def test_order_implication_chain(u, v):
-    if len(u) != len(v):
-        return
-    a, b = np.array(u), np.array(v)
-    if strictly_less(a, b):
-        assert leq_not_equal(a, b)
-    if leq_not_equal(a, b):
-        assert leq_all(a, b)
-    order = compare(a, b)
-    assert (order is VectorOrder.STRICTLY_LESS) == strictly_less(a, b)
-    assert (order is VectorOrder.INCOMPARABLE) == (not leq_all(a, b))
 
 
 def test_grid_points_counts_and_endpoints():

@@ -302,6 +302,48 @@ def test_cli_verify_flags_tampered_report(tmp_path, capsys):
     assert "defect" in err
 
 
+def test_cli_verify_recomputes_derived_flags(tmp_path, capsys):
+    out_path = tmp_path / "r.json"
+    run_cli("analyze", "cube", "--grid-step", "0.25", "-o", str(out_path))
+    assert run_cli("verify", str(out_path)) == 0
+    capsys.readouterr()
+    report = json.loads(out_path.read_text())
+    assert report["pair_verdicts"]["invex"]["failures"]
+    report["pair_verdicts"]["invex"]["all_pairs_kernel"] = True
+    report["crosscheck"]["agreement"] = not report["crosscheck"]["agreement"]
+    out_path.write_text(json.dumps(report))
+    code = run_cli("verify", str(out_path))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "all_pairs_kernel" in err
+    assert "crosscheck: agreement" in err
+
+
+def _flip(report, *path):
+    *parents, key = path
+    for step in parents:
+        report = report[step]
+    report[key] = not report[key]
+
+
+@pytest.mark.parametrize(
+    "path,fragment",
+    [
+        (("pair_verdicts", "invex", "all_pairs_kernel"), "invex pair verdict"),
+        (("pair_verdicts", "kt-invex", "all_pairs_kernel"), "kt-invex pair verdict"),
+        (("crosscheck", "checks", 0, "stationary_side"), "stationary_side"),
+        (("crosscheck", "checks", 1, "kernel_side"), "kernel_side"),
+        (("crosscheck", "checks", 2, "agreement"), "agreement contradicts its sides"),
+        (("crosscheck", "agreement"), "agreement contradicts its checks"),
+    ],
+)
+def test_verify_report_flags_flipped_derived_flag(cube_report, path, fragment):
+    wire = json.loads(canonical_json(cube_report))
+    _flip(wire, *path)
+    defects = verify_report(wire)
+    assert any(fragment in d for d in defects), defects
+
+
 def test_cli_tolerance_flags_are_threaded(capsys):
     code = run_cli("pair", "convex-pair", "--xbar", "1", "--x", "0",
                    "--kind", "invex", "--tol-strict", "1e-6")

@@ -12,7 +12,6 @@ from invexcheck.problems import (
     fixture,
     fixture_names,
     grid_points,
-    strictly_less,
 )
 from invexcheck.scalarization import (
     _ARMIJO,
@@ -162,7 +161,7 @@ def test_globality_tied_global_has_distant_witness():
 def naive_dominated(values):
     """Quadratic-time reference: row i is strictly dominated by some row."""
     return np.array(
-        [any(strictly_less(fj, fi) for fj in values) for fi in values], dtype=bool
+        [any(np.all(fj < fi) for fj in values) for fi in values], dtype=bool
     )
 
 

@@ -16,7 +16,7 @@ from invexcheck.problems import (
     grid_points,
     without_constraints,
 )
-from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
+from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, solve_lp
 from invexcheck.stationarity import (
     StationaryKind,
     StationaryPoint,
@@ -197,9 +197,11 @@ def assert_same_points(got, want):
         assert a.kind is b.kind
         assert a.x.tobytes() == b.x.tobytes()
         assert a.multipliers.lam.tobytes() == b.multipliers.lam.tobytes()
+        assert a.multipliers.lam.dtype == b.multipliers.lam.dtype
         assert a.multipliers.residual == b.multipliers.residual
         if b.kind is StationaryKind.KT:
             assert a.multipliers.mu.tobytes() == b.multipliers.mu.tobytes()
+            assert a.multipliers.mu.dtype == b.multipliers.mu.dtype
             assert a.multipliers.active_indices == b.multipliers.active_indices
 
 
@@ -282,3 +284,103 @@ def test_scan_matches_reference_on_random_polynomials(problem, kind):
             scan_critical_points(problem, 0.5, kind)
         return
     assert_same_points(scan_critical_points(problem, 0.5, kind), want)
+
+
+@st.composite
+def flat_polynomial_problems(draw):
+    """One to three objectives, each exactly flat on part of the box or all
+    of it: a zero, a constant, or a polynomial switched off by a piecewise."""
+    variables = ("x", "y")[: draw(st.integers(1, 2))]
+    exponents = st.tuples(*[st.integers(0, 3) for _ in variables])
+
+    def polynomial():
+        terms = draw(
+            st.lists(st.tuples(_COEFFICIENTS, exponents), min_size=1, max_size=2)
+        )
+        return " + ".join(
+            " * ".join(
+                [f"({coeff!r})"] + [f"{v}^{k}" for v, k in zip(variables, powers) if k]
+            )
+            for coeff, powers in terms
+        )
+
+    def objective():
+        shape = draw(st.sampled_from(["zero", "constant", "switched", "switched"]))
+        if shape == "zero":
+            return "0"
+        if shape == "constant":
+            return f"({draw(_COEFFICIENTS)!r})"
+        v = draw(st.sampled_from(variables))
+        op = draw(st.sampled_from([">", "<"]))
+        cut = draw(st.sampled_from([-0.5, 0.0, 0.5]))
+        return f"piecewise({v} {op} {cut!r}: {polynomial()}; 0)"
+
+    return Problem(
+        name="flat-polynomial",
+        variables=variables,
+        objectives=tuple(objective() for _ in range(draw(st.integers(1, 3)))),
+        constraints=tuple(polynomial() for _ in range(draw(st.integers(0, 1)))),
+        box=((-1.0, 1.0),) * len(variables),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(flat_polynomial_problems(), st.sampled_from(list(StationaryKind)))
+# three flat objectives: the LP's weights are not uniform to the last bit
+@example(
+    Problem(
+        name="flat-polynomial",
+        variables=("x",),
+        objectives=(
+            "0",
+            "piecewise(x > 0.5: (x - 0.5)^2; 0)",
+            "piecewise(x < -0.5: (x + 0.5)^2; 0)",
+        ),
+        constraints=(),
+        box=((-1.0, 1.0),),
+    ),
+    StationaryKind.VECTOR,
+)
+@example(
+    Problem(
+        name="flat-polynomial",
+        variables=("x",),
+        objectives=("0", "piecewise(x > 0.0: (1.0) * x^2; 0)", "(2.0)"),
+        constraints=("(1.0) * x^1",),
+        box=((-1.0, 1.0),),
+    ),
+    StationaryKind.KT,
+)
+def test_scan_matches_reference_on_flat_problems(problem, kind):
+    """Flat nodes take closed-form multipliers for n <= 2 and the LP for
+    n = 3; both must give the reference LP's bytes at every node."""
+    try:
+        want = reference_scan(problem, 0.25, kind)
+    except NumericalBreakdownError:
+        with pytest.raises(NumericalBreakdownError):
+            scan_critical_points(problem, 0.25, kind)
+        return
+    assert_same_points(scan_critical_points(problem, 0.25, kind), want)
+
+
+def test_flat_nodes_solve_no_lp(monkeypatch):
+    # paper-example-2.1 at step 1/128: 257 of 769 nodes have Jf = 0, and the
+    # parent solved 777 LPs for both scans (one vector, two KT per node)
+    import invexcheck.stationarity as stationarity
+
+    calls = []
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(stationarity, "solve_lp", counting_solve_lp)
+    p = fixture("paper-example-2.1")
+    scan = stationarity._scan.__wrapped__  # bypass the cache
+    critical = scan(without_constraints(p), 1 / 128, StationaryKind.VECTOR, DEFAULT_TOL)
+    kt = scan(p, 1 / 128, StationaryKind.KT, DEFAULT_TOL)
+    assert len(critical) == len(kt) == 257
+    assert len(calls) <= 10
+    for sp in critical + kt:
+        assert sp.multipliers.lam.tolist() == [0.5, 0.5]
+        assert sp.multipliers.residual == 0.0
