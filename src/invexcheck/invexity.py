@@ -713,6 +713,112 @@ def validate_evaluated_pair(
     return problems
 
 
+def active_groups(active: np.ndarray):
+    """(active indices, member positions) for each distinct row of ``active``."""
+    if not active.shape[1]:
+        yield np.zeros(0, dtype=int), np.arange(active.shape[0])
+        return
+    patterns, inverse = np.unique(active, axis=0, return_inverse=True)
+    for p, pattern in enumerate(patterns):
+        yield np.flatnonzero(pattern), np.flatnonzero(inverse.ravel() == p)
+
+
+def validate_evaluated_pairs(
+    batch: PointBatch,
+    kind: InvexityKind,
+    xbar_rows: np.ndarray,
+    x_rows: np.ndarray,
+    *,
+    has_kernel: np.ndarray,
+    eta: np.ndarray,
+    margin: np.ndarray,
+    has_certificate: np.ndarray,
+    lam: np.ndarray,
+    mu: list[np.ndarray | None],
+    violation: np.ndarray,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[list[str]]:
+    """`validate_evaluated_pair` for K verdicts of one kind at once.
+
+    Pair k has x̄ = ``batch`` row ``xbar_rows[k]`` and x = row ``x_rows[k]``.
+    Its kernel (if ``has_kernel[k]``) is η = ``eta[k]`` (shape (K, s)) with
+    ``margin[k]``; its certificate (if ``has_certificate[k]``) is λ =
+    ``lam[k]`` (shape (K, n)), μ = ``mu[k]`` (a 1-d array or None) and
+    ``violation[k]``. Returns each pair's problems, in the order and wording
+    of `validate_evaluated_pair`; every product has that function's shapes,
+    so the numbers are the same to the last bit.
+    """
+    count = len(xbar_rows)
+    problems: list[list[str]] = [[] for _ in range(count)]
+
+    def flag(where, message) -> None:
+        """Append ``message(k)`` for each pair k in ``where`` (a mask or indices)."""
+        where = np.asarray(where)
+        for k in np.flatnonzero(where) if where.dtype == bool else where:
+            problems[k].append(message(k))
+
+    delta = batch.objective_values[x_rows] - batch.objective_values[xbar_rows]
+    jac = batch.objective_jacobian[xbar_rows]
+    groups = list(active_groups(batch.active[xbar_rows]))
+    jac_g = batch.constraint_jacobian[xbar_rows]
+
+    flag(has_kernel & has_certificate,
+         lambda k: "verdict carries both a kernel and a certificate")
+    flag(~has_kernel & ~has_certificate,
+         lambda k: "verdict carries neither a kernel nor a certificate")
+
+    slack_min = (delta - (jac @ eta[:, :, None])[:, :, 0]).min(axis=1)
+    if kind.is_strict:
+        flag(has_kernel & (margin <= 0),
+             lambda k: f"strict kernel margin {float(margin[k])!r} not positive")
+        flag(has_kernel & (slack_min < margin - tol.strict),
+             lambda k: f"strict kernel slack {slack_min[k]:.3e} "
+             f"below margin {margin[k]:.3e}")
+    else:
+        flag(has_kernel & (slack_min < -tol.strict),
+             lambda k: f"kernel row violated by {-float(slack_min[k]):.3e}")
+        flag(has_kernel & (margin < 0), lambda k: "kernel margin negative")
+    if kind.is_kt:
+        weak_max = np.full(count, -np.inf)
+        for active, members in groups:
+            if active.size:
+                weak = jac_g[members[:, None], active] @ eta[members][:, :, None]
+                weak_max[members] = weak[:, :, 0].max(axis=1)
+        flag(has_kernel & (weak_max > tol.strict),
+             lambda k: f"active row Jg·η = {weak_max[k]:.3e} > 0")
+
+    flag(has_certificate & (lam.min(axis=1) < -tol.strict),
+         lambda k: "certificate weight negative")
+    flag(has_certificate & (np.abs(lam.sum(axis=1) - 1.0) > tol.strict),
+         lambda k: "certificate weights not normalized")
+    combo = (lam[:, None, :] @ jac)[:, 0]
+    for active, members in groups:
+        if not active.size:
+            continue
+        # a certificate's μ counts where x̄ has active rows, if its length fits
+        given = [k for k in members if has_certificate[k] and mu[k] is not None]
+        fits = np.array([k for k in given if mu[k].size == active.size], dtype=int)
+        flag(np.setdiff1d(given, fits), lambda k: "certificate μ length mismatches active set")
+        if fits.size:
+            stacked = np.array([mu[k] for k in fits])
+            flag(fits[stacked.min(axis=1) < -tol.strict], lambda k: "certificate μ negative")
+            jac_active = jac_g[fits[:, None], active]
+            combo[fits] = combo[fits] + (stacked[:, None, :] @ jac_active)[:, 0]
+    resid = np.abs(combo).max(axis=1)
+    flag(has_certificate & (resid > tol.strict),
+         lambda k: f"certificate stationarity residual {resid[k]:.3e}")
+    actual = (lam[:, None, :] @ delta[:, :, None])[:, 0, 0]
+    flag(has_certificate & (np.abs(actual - violation) > tol.strict),
+         lambda k: f"stored violation {violation[k]:.3e} != recomputed {actual[k]:.3e}")
+    if kind.is_strict:
+        flag(has_certificate & (actual > tol.strict),
+             lambda k: f"strict certificate violation {actual[k]:.3e} positive")
+    else:
+        flag(has_certificate & (actual >= -tol.strict),
+             lambda k: f"certificate violation {actual[k]:.3e} not strictly negative")
+    return problems
+
+
 @dataclass
 class StationaryGlobality:
     """One scanned stationary point graded against its own weight vector."""

@@ -9,30 +9,27 @@ round-trip tests strip them before comparing).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import fields
+from json.encoder import encode_basestring
 
 import numpy as np
 
 from .invexity import (
     CrosscheckReport,
     DomainVerdict,
-    DualCertificate,
     GridSampler,
     InvexityKind,
-    KernelWitness,
     PairVerdict,
     RandomSampler,
+    active_groups,
     certify_domain,
     theorem_crosscheck,
-    validate_evaluated_pair,
+    validate_evaluated_pairs,
 )
 from .problems import (
-    EvaluatedPoint,
     Problem,
-    as_point,
     evaluate_many,
     problem_from_dict,
     problem_to_dict,
@@ -55,42 +52,70 @@ def canonical_json(value) -> str:
 
 
 def _emit(value, out: list[str]) -> None:
-    if value is None:
+    # the report's own types first; numpy values, ints and bools go the long way
+    kind = type(value)
+    if kind is float:
+        _emit_floats((value,), out)
+    elif kind is str:
+        out.append(encode_basestring(value))
+    elif kind is list or kind is tuple:
+        if value and set(map(type, value)) == {float}:
+            out.append("[")
+            _emit_floats(value, out)
+            out.append("]")
+        else:
+            _emit_sequence(value, out)
+    elif kind is dict:
+        _emit_dict(value, out)
+    elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
     elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
+        out.append(encode_basestring(value))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
     elif isinstance(value, (float, np.floating)):
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        out.append(format(value, ".17g"))
+        _emit_floats((float(value),), out)
     elif isinstance(value, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(value)):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _emit(value[key], out)
-        out.append("}")
+        _emit_dict(value, out)
     elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        seq = value.tolist() if isinstance(value, np.ndarray) else value
-        for i, item in enumerate(seq):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
+        _emit_sequence(value.tolist() if isinstance(value, np.ndarray) else value, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def _emit_floats(values, out: list[str]) -> None:
+    """Comma-separated %.17g floats; "inf" and "nan" are the texts with an n."""
+    text = ",".join(["%.17g"] * len(values)) % tuple(values)
+    if "n" in text:
+        value = next(v for v in values if not math.isfinite(v))
+        raise ValueError(f"cannot serialize non-finite float {value!r}")
+    out.append(text)
+
+
+def _emit_sequence(seq, out: list[str]) -> None:
+    out.append("[")
+    for i, item in enumerate(seq):
+        if i:
+            out.append(",")
+        _emit(item, out)
+    out.append("]")
+
+
+def _emit_dict(value: dict, out: list[str]) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(value)):
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        if i:
+            out.append(",")
+        out.append(encode_basestring(key))
+        out.append(":")
+        _emit(value[key], out)
+    out.append("}")
 
 
 def _vector(arr) -> list[float]:
@@ -127,30 +152,6 @@ def pair_verdict_to_dict(verdict: PairVerdict) -> dict:
         "kernel": kernel,
         "certificate": certificate,
     }
-
-
-def pair_verdict_from_dict(data: dict) -> PairVerdict:
-    kernel = None
-    if data.get("kernel") is not None:
-        kernel = KernelWitness(
-            eta=np.array(data["kernel"]["eta"], dtype=float),
-            margin=float(data["kernel"]["margin"]),
-        )
-    certificate = None
-    if data.get("certificate") is not None:
-        cert = data["certificate"]
-        certificate = DualCertificate(
-            lam=np.array(cert["lam"], dtype=float),
-            mu=None if cert.get("mu") is None else np.array(cert["mu"], dtype=float),
-            violation=float(cert["violation"]),
-        )
-    return PairVerdict(
-        kind=InvexityKind(data["kind"]),
-        xbar=np.array(data["xbar"], dtype=float),
-        x=np.array(data["x"], dtype=float),
-        kernel=kernel,
-        certificate=certificate,
-    )
 
 
 def domain_verdict_to_dict(verdict: DomainVerdict) -> dict:
@@ -311,29 +312,112 @@ def strip_timings(report: dict) -> dict:
     return {k: v for k, v in report.items() if k != "timings_ms"}
 
 
+def _stack(values: list, shape: tuple[int, ...], point: bool = False):
+    """``values`` as one float array of shape (K, *shape), and the shape of
+    each entry that does not fit, by index (None: not an array of numbers).
+
+    With ``point`` a number counts as a 1-vector, as in `as_point`. Entries
+    that do not fit leave zero rows.
+    """
+    try:
+        stacked = np.array(values, dtype=float)
+        if stacked.shape == (len(values), *shape):
+            return stacked, {}
+    except (TypeError, ValueError):
+        pass
+    stacked = np.zeros((len(values), *shape))
+    misfits: dict[int, tuple[int, ...] | None] = {}
+    for i, value in enumerate(values):
+        try:
+            array = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            misfits[i] = None
+            continue
+        if point:
+            array = np.atleast_1d(array)
+        if array.shape == shape:
+            stacked[i] = array
+        else:
+            misfits[i] = array.shape
+    return stacked, misfits
+
+
+def _shape_defect(path: str, found: tuple[int, ...] | None, expected) -> str:
+    if found is None:
+        return f"{path} is not an array of numbers"
+    return f"{path} has shape {found}, expected {expected}"
+
+
+class _Flags:
+    """Defect messages of one evidence group, by entry index."""
+
+    def __init__(self, count: int):
+        self._by_entry: dict[int, list[str]] = {}
+        #: entries still to check: not malformed, and past every early exit
+        self.ok = np.ones(count, dtype=bool)
+
+    def add(self, where, message) -> None:
+        """Append ``message(k)`` for each entry k in ``where`` (a mask or indices)."""
+        where = np.asarray(where)
+        for k in np.flatnonzero(where) if where.dtype == bool else where:
+            self._by_entry.setdefault(int(k), []).append(message(int(k)))
+
+    def misfit(self, k: int, path: str, found, expected) -> None:
+        """Flag entry ``k`` as malformed (once) and check it no further."""
+        if self.ok[k]:
+            self.add([k], lambda _: _shape_defect(path, found, expected))
+            self.ok[k] = False
+
+    def lines(self) -> list[str]:
+        return [line for k in sorted(self._by_entry) for line in self._by_entry[k]]
+
+
 class _Replay:
     """The distinct replay points of one problem variant, evaluated together.
 
-    `add` every point first; the first lookup evaluates them in one batch.
+    `add` every group's points first; `evaluate` then maps each added point
+    to a row of one `evaluate_many` batch, distinct points keyed by their
+    bytes in first-appearance order.
     """
 
     def __init__(self, problem: Problem, tol: ToleranceConfig):
         self.problem, self.tol = problem, tol
-        self._rows: dict[bytes, int] = {}
-        self._batch = None
+        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
+        self._rows: list[np.ndarray] = []
+        self.batch = None
 
-    def add(self, x) -> np.ndarray:
-        x = as_point(self.problem, x)
-        self._rows.setdefault(x.tobytes(), len(self._rows))
-        return x
+    def add(self, values: list) -> tuple[int, dict]:
+        """Queue ``values``; returns a handle for `rows` and the entries that
+        are not points of the problem, as `_stack` gives them."""
+        points, misfits = _stack(values, (self.problem.dimension,), point=True)
+        fits = np.ones(len(values), dtype=bool)
+        fits[list(misfits)] = False
+        self._groups.append((points[fits], fits))
+        return len(self._groups) - 1, misfits
 
-    def __getitem__(self, x: np.ndarray) -> EvaluatedPoint:
-        if self._batch is None:
-            points = np.frombuffer(b"".join(self._rows), dtype=float)
-            self._batch = evaluate_many(
-                self.problem, points.reshape(-1, self.problem.dimension), self.tol
-            )
-        return self._batch.point(self._rows[x.tobytes()])
+    def evaluate(self) -> None:
+        points = np.concatenate([points for points, _ in self._groups])
+        if not len(points):
+            return
+        keys = points.view(np.dtype((np.void, points.itemsize * points.shape[1])))
+        _, first, inverse = np.unique(
+            keys.ravel(), return_index=True, return_inverse=True
+        )
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.batch = evaluate_many(self.problem, points[first[order]], self.tol)
+        rows = np.split(
+            rank[inverse.ravel()], np.cumsum([len(p) for p, _ in self._groups])[:-1]
+        )
+        for (_, fits), group_rows in zip(self._groups, rows):
+            full = np.zeros(fits.size, dtype=int)
+            full[fits] = group_rows
+            self._rows.append(full)
+
+    def rows(self, handle: int) -> np.ndarray:
+        """Batch row of each added point (0 for the misfits)."""
+        return self._rows[handle]
 
 
 def verify_report(report: dict) -> list[str]:
@@ -341,9 +425,9 @@ def verify_report(report: dict) -> list[str]:
 
     Returns human-readable defect strings; an empty list means the report's
     evidence checks out against the embedded problem at the recorded
-    tolerances.
+    tolerances. Each evidence group is checked with array operations on one
+    batch of evaluated points per problem variant.
     """
-    defects: list[str] = []
     try:
         problem = problem_from_dict(report["problem"])
     except (KeyError, ValueError) as exc:
@@ -358,78 +442,247 @@ def verify_report(report: dict) -> list[str]:
     replay = {False: _Replay(unconstrained, tol), True: _Replay(problem, tol)}
     if unconstrained is problem:
         replay[False] = replay[True]
-    critical = [
-        (entry, replay[False].add(entry["x"]), np.array(entry["lam"]))
-        for entry in report.get("critical_points", ())
+    first_use: list[_Replay] = []
+
+    def add(points: _Replay, values: list):
+        if values:
+            first_use.append(points)
+        return points.add(values)
+
+    critical = list(report.get("critical_points", ()))
+    kt = list(report.get("kt_points", ()))
+    runs = list(report.get("weighting_runs", ()))
+    pairs = _pair_entries(report)
+    critical_x = add(replay[False], [entry["x"] for entry in critical])
+    kt_x = add(replay[True], [entry["x"] for entry in kt])
+    minimizer_x = add(replay[True], [x for run in runs for x in run["minimizers"]])
+    by_replay: dict[_Replay, list[int]] = {}
+    for i, (_, is_kt, _, _) in enumerate(pairs):
+        by_replay.setdefault(replay[is_kt], []).append(i)
+    pair_x = [
+        (points, members, add(points, [
+            pairs[i][2][key] for i in members for key in ("xbar", "x")
+        ]))
+        for points, members in by_replay.items()
     ]
-    kt = [
-        (entry, replay[True].add(entry["x"]), np.array(entry["lam"]))
-        for entry in report.get("kt_points", ())
-    ]
-    minimizers = [
-        (run, minimizer, replay[True].add(minimizer))
-        for run in report.get("weighting_runs", ())
-        for minimizer in run["minimizers"]
-    ]
+    # evaluated in the order of first use, so the same error surfaces first
+    for points in dict.fromkeys(first_use):
+        points.evaluate()
+
+    defects = _critical_defects(critical, replay[False], critical_x, tol)
+    defects += _kt_defects(kt, replay[True], kt_x, tol)
+    defects += _minimizer_defects(runs, replay[True], minimizer_x, tol)
+    defects += _pair_defects(pairs, pair_x, problem, tol)
+    defects += _derived_flag_defects(report)
+    return defects
+
+
+def _critical_defects(entries: list, points: _Replay, added, tol) -> list[str]:
+    handle, misfits = added
+    s, n = points.problem.dimension, points.problem.n_objectives
+    flags = _Flags(len(entries))
+    lam, lam_misfits = _stack([entry["lam"] for entry in entries], (n,))
+    for k, found in misfits.items():
+        flags.misfit(k, f"critical_points[{k}].x", found, (s,))
+    for k, found in lam_misfits.items():
+        flags.misfit(k, f"critical_points[{k}].lam", found, (n,))
+    ok = flags.ok
+    if ok.any():
+        jac = points.batch.objective_jacobian[points.rows(handle)]
+        resid = np.abs((lam[:, None, :] @ jac)[:, 0]).max(axis=1)
+        flags.add(ok & (resid > tol.stationary), lambda k: (
+            f"critical point {entries[k]['x']}: residual {resid[k]:.3e}"))
+        invalid = (lam.min(axis=1) < -tol.strict) | (
+            np.abs(lam.sum(axis=1) - 1) > tol.strict
+        )
+        flags.add(ok & invalid, lambda k: (
+            f"critical point {entries[k]['x']}: weights invalid"))
+    return flags.lines()
+
+
+def _kt_defects(entries: list, points: _Replay, added, tol) -> list[str]:
+    handle, misfits = added
+    s, n = points.problem.dimension, points.problem.n_objectives
+    flags = _Flags(len(entries))
+    for k, found in misfits.items():
+        flags.misfit(k, f"kt_points[{k}].x", found, (s,))
+    ok = flags.ok
+    if not ok.any():
+        return flags.lines()
+    batch, rows = points.batch, points.rows(handle)
+    flags.add(ok & ~batch.feasible[rows], lambda k: f"kt point {entries[k]['x']}: infeasible")
+    ok &= batch.feasible[rows]
+    groups = list(active_groups(batch.active[rows]))
+    for indices, members in groups:
+        indices = tuple(int(j) for j in indices)
+        mismatch = [k for k in members[ok[members]]
+                    if tuple(entries[k]["active_indices"]) != indices]
+        flags.add(mismatch, lambda k: f"kt point {entries[k]['x']}: active set mismatch")
+        ok[mismatch] = False
+
+    lam, lam_misfits = _stack([entry["lam"] for entry in entries], (n,))
+    for k, found in lam_misfits.items():
+        flags.misfit(k, f"kt_points[{k}].lam", found, (n,))
+    combo = (lam[:, None, :] @ batch.objective_jacobian[rows])[:, 0]
+    mu_negative = np.zeros(len(entries), dtype=bool)
+    for indices, members in groups:
+        members = members[ok[members]]
+        mu, mu_misfits = _stack([entries[k]["mu"] for k in members], (indices.size,))
+        # an empty μ adds no term, whatever the active set
+        uses = np.full(members.size, indices.size > 0)
+        for j, found in mu_misfits.items():
+            uses[j] = False
+            if found is None or math.prod(found):
+                k = members[j]
+                flags.misfit(k, f"kt_points[{k}].mu", found, (indices.size,))
+        if uses.any():
+            mu, members = mu[uses], members[uses]
+            jac_active = batch.constraint_jacobian[rows[members][:, None], indices]
+            combo[members] = combo[members] + (mu[:, None, :] @ jac_active)[:, 0]
+            mu_negative[members] = mu.min(axis=1) < -tol.strict
+    resid = np.abs(combo).max(axis=1)
+    flags.add(ok & (resid > tol.stationary), lambda k: (
+        f"kt point {entries[k]['x']}: residual {resid[k]:.3e}"))
+    flags.add(ok & mu_negative, lambda k: (
+        f"kt point {entries[k]['x']}: negative constraint multiplier"))
+    return flags.lines()
+
+
+def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
+    handle, misfits = added
+    s, n = points.problem.dimension, points.problem.n_objectives
+    minimizers = [x for run in runs for x in run["minimizers"]]
+    starts = np.cumsum([0] + [len(run["minimizers"]) for run in runs])
+    flags = _Flags(len(minimizers))
+    for k, found in misfits.items():
+        r = int(np.searchsorted(starts, k, "right")) - 1
+        flags.misfit(k, f"weighting_runs[{r}].minimizers[{k - starts[r]}]", found, (s,))
+    ok = flags.ok
+    if not ok.any():
+        return flags.lines()
+    batch, rows = points.batch, points.rows(handle)
+    flags.add(ok & ~batch.feasible[rows], lambda k: (
+        f"weighting minimizer {minimizers[k]}: infeasible"))
+    values = np.zeros(len(minimizers))
+    for r, run in enumerate(runs):
+        members = np.arange(starts[r], starts[r + 1])
+        members = members[ok[members]]
+        if not members.size:
+            continue
+        lam, lam_misfits = _stack([run["lam"]], (n,))
+        if lam_misfits:
+            flags.misfit(members[0], f"weighting_runs[{r}].lam", lam_misfits[0], (n,))
+            continue
+        # λ·f(x) per minimizer, with the shapes of a single dot product
+        f_values = batch.objective_values[rows[members], :, None]
+        values[members] = (lam[:, None, :] @ f_values)[:, 0, 0]
+        low, high = run["value"] - tol.strict, run["value"] + 1e-6
+        off = (values[members] < low) | (values[members] > high)
+        flags.add(members[off], lambda k: (
+            f"weighting minimizer {minimizers[k]}: value {values[k]:.6e} "
+            f"!= recorded {run['value']:.6e}"))
+    return flags.lines()
+
+
+def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
+    """(path, KT variant, item, label) of every recorded pair verdict."""
     pairs = []
     for kind_name, verdict_data in report.get("pair_verdicts", {}).items():
         for group in ("failures", "kernel_samples"):
-            for item in verdict_data.get(group, ()):
-                label = f"{kind_name} pair (xbar={item['xbar']}, x={item['x']})"
-                pairs.append((label, replay[InvexityKind(kind_name).is_kt], item))
-    for check in report.get("crosscheck", {}).get("checks", ()):
-        for item in check.get("kernel_failures", ()):
-            label = f"crosscheck {check['kind']} failure pair"
-            pairs.append((label, replay[InvexityKind(check["kind"]).is_kt], item))
-    for _, points, item in pairs:
-        points.add(item["xbar"])
-        points.add(item["x"])
+            for i, item in enumerate(verdict_data.get(group, ())):
+                pairs.append((
+                    f"pair_verdicts.{kind_name}.{group}[{i}]",
+                    InvexityKind(kind_name).is_kt,
+                    item,
+                    f"{kind_name} pair (xbar={item['xbar']}, x={item['x']})",
+                ))
+    for c, check in enumerate(report.get("crosscheck", {}).get("checks", ())):
+        for i, item in enumerate(check.get("kernel_failures", ())):
+            pairs.append((
+                f"crosscheck.checks[{c}].kernel_failures[{i}]",
+                InvexityKind(check["kind"]).is_kt,
+                item,
+                f"crosscheck {check['kind']} failure pair",
+            ))
+    return pairs
 
-    for entry, x, lam in critical:
-        ep = replay[False][x]
-        resid = float(np.max(np.abs(lam @ ep.objective_jacobian)))
-        if resid > tol.stationary:
-            defects.append(f"critical point {entry['x']}: residual {resid:.3e}")
-        if float(lam.min()) < -tol.strict or abs(float(lam.sum()) - 1) > tol.strict:
-            defects.append(f"critical point {entry['x']}: weights invalid")
 
-    for entry, x, lam in kt:
-        mu = np.array(entry["mu"], dtype=float)
-        ep = replay[True][x]
-        if not ep.feasible:
-            defects.append(f"kt point {entry['x']}: infeasible")
+def _parse_pair(item: dict):
+    """(kind, (η, margin) or None, (λ, μ, violation) or None) of one verdict.
+
+    Raises on an unknown kind, or on a margin or violation that is not a
+    number; the vectors are checked by shape later.
+    """
+    kernel = item.get("kernel")
+    if kernel is not None:
+        kernel = (kernel["eta"], float(kernel["margin"]))
+    cert = item.get("certificate")
+    if cert is not None:
+        cert = (cert["lam"], cert.get("mu"), float(cert["violation"]))
+    return InvexityKind(item["kind"]), kernel, cert
+
+
+def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]:
+    s, n = problem.dimension, problem.n_objectives
+    flags = _Flags(len(pairs))
+    parsed = [_parse_pair(item) for _, _, item, _ in pairs]
+    kernels = [kernel for _, kernel, _ in parsed]
+    certs = [cert for _, _, cert in parsed]
+    eta, eta_misfits = _stack([k[0] if k else [0.0] * s for k in kernels], (s,))
+    lam, lam_misfits = _stack([c[0] if c else [0.0] * n for c in certs], (n,))
+    rows = np.zeros((len(pairs), 2), dtype=int)
+    groups: dict[tuple[_Replay, InvexityKind], list[int]] = {}
+    for points, members, (handle, misfits) in pair_x:
+        for j, found in misfits.items():
+            k = members[j // 2]
+            flags.misfit(k, f"{pairs[k][0]}.{('xbar', 'x')[j % 2]}", found, (s,))
+        if points.batch is not None:
+            rows[members] = points.rows(handle).reshape(-1, 2)
+        for k in members:
+            groups.setdefault((points, parsed[k][0]), []).append(k)
+    for k, found in eta_misfits.items():
+        flags.misfit(k, f"{pairs[k][0]}.kernel.eta", found, (s,))
+    for k, found in lam_misfits.items():
+        flags.misfit(k, f"{pairs[k][0]}.certificate.lam", found, (n,))
+    mu = [None if c is None else c[1] for c in certs]
+    for k, given in enumerate(mu):
+        if given is None:
             continue
-        if tuple(entry["active_indices"]) != ep.active_indices:
-            defects.append(f"kt point {entry['x']}: active set mismatch")
+        try:
+            mu[k] = np.asarray(given, dtype=float)
+        except (TypeError, ValueError):
+            flags.misfit(k, f"{pairs[k][0]}.certificate.mu", None, "a vector")
             continue
-        combo = lam @ ep.objective_jacobian
-        if mu.size:
-            combo = combo + mu @ ep.active_jacobian
-        resid = float(np.max(np.abs(combo)))
-        if resid > tol.stationary:
-            defects.append(f"kt point {entry['x']}: residual {resid:.3e}")
-        if mu.size and float(mu.min()) < -tol.strict:
-            defects.append(f"kt point {entry['x']}: negative constraint multiplier")
+        if mu[k].ndim != 1:
+            flags.misfit(k, f"{pairs[k][0]}.certificate.mu", mu[k].shape, "a vector")
 
-    for run, minimizer, x in minimizers:
-        lam = np.array(run["lam"])
-        ep = replay[True][x]
-        if not ep.feasible:
-            defects.append(f"weighting minimizer {minimizer}: infeasible")
-        value = float(lam @ ep.objective_values)
-        if value < run["value"] - tol.strict or value > run["value"] + 1e-6:
-            defects.append(
-                f"weighting minimizer {minimizer}: value {value:.6e} "
-                f"!= recorded {run['value']:.6e}"
-            )
-
-    for label, points, item in pairs:
-        verdict = pair_verdict_from_dict(item)
-        pbar, p = points[verdict.xbar], points[verdict.x]
-        for issue in validate_evaluated_pair(pbar, p, verdict, tol):
-            defects.append(f"{label}: {issue}")
-    defects.extend(_derived_flag_defects(report))
-    return defects
+    has_kernel = np.array([k is not None for k in kernels], dtype=bool)
+    has_certificate = np.array([c is not None for c in certs], dtype=bool)
+    margin = np.array([k[1] if k else 0.0 for k in kernels])
+    violation = np.array([c[2] if c else 0.0 for c in certs])
+    for (points, kind), group in groups.items():
+        group = np.array(group)
+        group = group[flags.ok[group]]
+        if not group.size:
+            continue
+        problems = validate_evaluated_pairs(
+            points.batch,
+            kind,
+            rows[group, 0],
+            rows[group, 1],
+            has_kernel=has_kernel[group],
+            eta=eta[group],
+            margin=margin[group],
+            has_certificate=has_certificate[group],
+            lam=lam[group],
+            mu=[mu[k] for k in group],
+            violation=violation[group],
+            tol=tol,
+        )
+        for k, issues in zip(group, problems):
+            for issue in issues:
+                flags.add([k], lambda k: f"{pairs[k][3]}: {issue}")
+    return flags.lines()
 
 
 def _derived_flag_defects(report: dict) -> list[str]:
@@ -446,6 +699,13 @@ def _derived_flag_defects(report: dict) -> list[str]:
     checks = crosscheck.get("checks", ())
     for check in checks:
         label = f"crosscheck {check.get('kind')}"
+        stationary = "kt_points" if InvexityKind(check.get("kind")).is_kt else "critical_points"
+        count = len(report.get(stationary, ()))
+        if check.get("stationary_count") != count:
+            defects.append(
+                f"{label}: stationary_count {check.get('stationary_count')!r} "
+                f"!= {count} {stationary}"
+            )
         for side, failures in (
             ("stationary_side", "stationary_failures"),
             ("kernel_side", "kernel_failures"),

@@ -1,5 +1,7 @@
 """Pairwise invexity certificates, domain sweeps, theorem cross-checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -9,8 +11,11 @@ from problemgen import small_polynomial_problems
 from invexcheck.invexity import (
     DEGENERATE_PAIR_RADIUS,
     DegeneratePairError,
+    DualCertificate,
     GridSampler,
     InvexityKind,
+    KernelWitness,
+    PairVerdict,
     RandomSampler,
     StationaryGlobality,
     _grade_stationary,
@@ -21,6 +26,8 @@ from invexcheck.invexity import (
     strict_invex_pair,
     strict_kt_invex_pair,
     theorem_crosscheck,
+    validate_evaluated_pair,
+    validate_evaluated_pairs,
     validate_pair_verdict,
 )
 from invexcheck.problems import (
@@ -524,3 +531,58 @@ def test_certify_domain_returns_the_cached_object():
     # the README promises this for certify_domain (not for theorem_crosscheck)
     first = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5))
     assert certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5)) is first
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, -0.25, 1e-10]) | st.floats(-1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polynomial_problems(), st.sampled_from(list(InvexityKind)), st.data())
+def test_grouped_pair_replay_matches_one_pair_replay(problem, kind, data):
+    """Random verdicts of one kind replayed together give each pair the
+    problems `validate_evaluated_pair` gives it alone, in the same words."""
+    # one more constraint, active where the first variable is ±0.5, so that
+    # base points have different active sets
+    extra = f"{problem.variables[0]}^2 - 0.25"
+    problem = replace(problem, constraints=problem.constraints + (extra,))
+    batch = evaluate_many(problem, grid_points(problem, 0.5))
+    count = data.draw(st.integers(1, 12))
+    rows = np.array(data.draw(st.lists(
+        st.integers(0, len(batch.x) - 1), min_size=2 * count, max_size=2 * count
+    ))).reshape(count, 2)
+    s, n = problem.dimension, problem.n_objectives
+    verdicts = []
+    for xbar_row, x_row in rows:
+        kernel = certificate = None
+        if data.draw(st.booleans()):
+            kernel = KernelWitness(
+                eta=np.array(data.draw(st.lists(_WEIGHTS, min_size=s, max_size=s))),
+                margin=data.draw(_WEIGHTS),
+            )
+        if kernel is None or data.draw(st.integers(0, 4)) == 0:
+            active = int(batch.active[xbar_row].sum())
+            mu = data.draw(st.none() | st.lists(_WEIGHTS, min_size=active, max_size=active)
+                           | st.lists(_WEIGHTS, max_size=2))
+            certificate = DualCertificate(
+                lam=np.array(data.draw(st.lists(_WEIGHTS, min_size=n, max_size=n))),
+                mu=None if mu is None else np.array(mu, dtype=float),
+                violation=data.draw(_WEIGHTS),
+            )
+        verdicts.append(PairVerdict(kind, batch.x[xbar_row], batch.x[x_row], kernel, certificate))
+    grouped = validate_evaluated_pairs(
+        batch,
+        kind,
+        rows[:, 0],
+        rows[:, 1],
+        has_kernel=np.array([v.kernel is not None for v in verdicts]),
+        eta=np.array([v.kernel.eta if v.kernel else np.zeros(s) for v in verdicts]),
+        margin=np.array([v.kernel.margin if v.kernel else 0.0 for v in verdicts]),
+        has_certificate=np.array([v.certificate is not None for v in verdicts]),
+        lam=np.array([v.certificate.lam if v.certificate else np.zeros(n) for v in verdicts]),
+        mu=[v.certificate.mu if v.certificate else None for v in verdicts],
+        violation=np.array([v.certificate.violation if v.certificate else 0.0
+                            for v in verdicts]),
+    )
+    for (xbar_row, x_row), verdict, problems in zip(rows, verdicts, grouped):
+        single = validate_evaluated_pair(batch.point(xbar_row), batch.point(x_row), verdict)
+        assert problems == single

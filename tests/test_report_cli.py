@@ -1,21 +1,27 @@
 """Report serialization, replay verification, and the command-line surface."""
 
+import copy
 import json
 import math
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import invexcheck.cli as cli
-from invexcheck.invexity import GridSampler
-from invexcheck.problems import fixture
+from invexcheck.invexity import GridSampler, InvexityKind
+from invexcheck.problems import Problem, fixture, fixture_names
 from invexcheck.report import (
     build_report,
     canonical_json,
     strip_timings,
     verify_report,
 )
+from reference_report import reference_canonical_json, reference_verify_report
 
 # -- canonical serializer ------------------------------------------------------
 
@@ -48,6 +54,46 @@ def test_canonical_json_rejects_nonfinite_and_bad_keys():
 
 def test_canonical_json_unicode_passthrough():
     assert canonical_json("xé") == '"xé"'
+
+
+_JSON_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.1, -0.0, 1e22, 5e-324, 1 / 3, math.inf, math.nan]
+)
+_JSON_LEAVES = (
+    _JSON_FLOATS
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=6)
+    | _JSON_FLOATS.map(np.float64)
+    | st.integers(-9, 9).map(np.int64)
+    | st.lists(_JSON_FLOATS, max_size=4).map(np.array)
+    | st.lists(st.integers(-9, 9), max_size=3).map(lambda v: np.array(v, dtype=int))
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(_JSON_FLOATS, min_size=1, max_size=5)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4) | st.integers(0, 3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _outcome(emit, value):
+    try:
+        return emit(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example([1.0, math.nan, math.inf])
+@example({"b": [0.5, 2.0], "a": (True, 1, np.float64(0.1), "é")})
+def test_canonical_json_matches_reference_emitter(value):
+    # same text, or the same exception type (non-finite floats, non-str keys)
+    assert _outcome(canonical_json, value) == _outcome(reference_canonical_json, value)
 
 
 # -- report pipeline -----------------------------------------------------------
@@ -109,6 +155,270 @@ def test_verify_report_flags_tampering(cube_report, mutate, fragment):
     defects = verify_report(wire)
     assert defects != []
     assert any(fragment in d for d in defects), defects
+
+
+# -- replay against the lookup-at-a-time reference ------------------------------
+
+#: x <= 0.5 is active at the KT point x = 0.5, so its KT point and the
+#: failure certificates there carry a μ
+CAPPED_CONCAVE = Problem(
+    name="capped-concave",
+    variables=("x",),
+    objectives=("-(x^2)", "-x"),
+    constraints=("x - 0.5",),
+    box=((-1.0, 1.0),),
+)
+ORACLE_PROBLEMS = {
+    **{name: fixture(name) for name in fixture_names()},
+    CAPPED_CONCAVE.name: CAPPED_CONCAVE,
+}
+_ORACLE_TEXT = {}
+
+
+def oracle_report(name: str) -> dict:
+    """A fresh wire copy of a small report of one oracle problem."""
+    if name not in _ORACLE_TEXT:
+        report = build_report(ORACLE_PROBLEMS[name], grid_step=0.25,
+                              lambda_grid_step=0.25, pair_sampler=GridSampler(0.5))
+        _ORACLE_TEXT[name] = canonical_json(report)
+    return json.loads(_ORACLE_TEXT[name])
+
+
+def _tamper_sites(node, path=()):
+    """(path, mutation) for every replayed number in a report."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key not in ("problem", "config", "weakly_efficient_nodes",
+                           "stationary_failures", "timings_ms"):
+                yield from _tamper_sites(value, path + (key,))
+    elif isinstance(node, list) and path[-1] != "active_indices":
+        for i, value in enumerate(node):
+            yield from _tamper_sites(value, path + (i,))
+    key = path[-1] if path else None
+    if key in ("lam", "mu") and node:
+        yield path, "scale"
+    elif key in ("x", "xbar") or (len(path) > 1 and path[-2] == "minimizers"):
+        yield path, "move"
+    elif key == "eta":
+        yield path, "perturb"
+    elif key in ("margin", "violation") or (key == "value" and path[0] == "weighting_runs"):
+        yield path, "shift"
+    elif key == "active_indices":
+        yield path, "swap"
+
+
+_DELTAS = st.sampled_from([1e-12, -1e-9, 1e-7, -1e-6, 1e-3, -0.25, 0.5, 3.0]) | st.floats(-2, 2)
+
+
+def _mutate(report, problem, path, mutation, draw):
+    *parents, key = path
+    parent = report
+    for step in parents:
+        parent = parent[step]
+    value = parent[key]
+    if mutation == "move":
+        fractions = st.sampled_from([0.0, 0.125, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1)
+        parent[key] = [lo + draw(fractions) * (hi - lo) for lo, hi in problem.box]
+    elif mutation == "swap":
+        parent[key] = [] if value else list(range(max(1, problem.n_constraints)))
+    elif mutation == "shift":
+        parent[key] = value + draw(_DELTAS)
+    else:
+        j = draw(st.integers(0, len(value) - 1))
+        if mutation == "scale":
+            value[j] = value[j] * draw(st.sampled_from([0.0, -1.0, 0.5, 1 + 1e-9, 2.0])
+                                       | st.floats(-3, 3)) + draw(_DELTAS | st.just(0.0))
+        else:
+            value[j] = value[j] + draw(_DELTAS)
+
+
+def _entry_of(path):
+    """The path of the evidence entry (point, run or pair) holding ``path``."""
+    last = max(i for i, step in enumerate(path[:-1]) if isinstance(step, int)
+               and isinstance(path[i + 1], str))
+    return path[: last + 1]
+
+
+def _is_added_kind(defect: str) -> bool:
+    """The defects that the reference does not report: recomputed counts and
+    malformed shapes, which made it raise."""
+    return "stationary_count" in defect or re.search(
+        r" has shape \(|is not an array of numbers", defect
+    ) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_verify_report_matches_reference_on_tampered_reports(data):
+    name = data.draw(st.sampled_from(sorted(ORACLE_PROBLEMS)))
+    report = oracle_report(name)
+    sites = {}
+    for path, mutation in _tamper_sites(report):
+        sites.setdefault(mutation, []).append(path)
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutation = data.draw(st.sampled_from(sorted(sites)))
+        path = data.draw(st.sampled_from(sites[mutation]))
+        targets = [(path, mutation)]
+        if data.draw(st.booleans()):  # tamper with every number of that entry
+            entry = _entry_of(path)
+            targets = [(p, m) for p, m in _tamper_sites(report) if _entry_of(p) == entry]
+        for path, mutation in targets:
+            _mutate(report, ORACLE_PROBLEMS[name], path, mutation, data.draw)
+    try:
+        expected = reference_verify_report(copy.deepcopy(report))
+    except Exception as exc:  # the reference's error, or a shape defect instead
+        try:
+            defects = verify_report(report)
+        except type(exc) as new:
+            assert str(new) == str(exc)
+        else:
+            assert any(_is_added_kind(d) for d in defects), defects
+        return
+    defects = verify_report(report)
+    assert [d for d in defects if not _is_added_kind(d)] == expected
+
+
+_CAPPED_CERTIFICATE = ("pair_verdicts", "strict-kt-invex", "failures", 9, "certificate")
+
+
+@pytest.mark.parametrize(
+    "name,tampering",
+    [
+        # the multipliers on the active constraint x <= 0.5
+        ("capped-concave", {("kt_points", 5, "mu"): [-0.5]}),
+        ("capped-concave", {_CAPPED_CERTIFICATE + ("mu",): [-0.5]}),
+        ("capped-concave", {_CAPPED_CERTIFICATE + ("mu",): [1.0, 1.0]}),
+        ("capped-concave", {_CAPPED_CERTIFICATE + ("mu",): None}),
+        ("capped-concave", {("pair_verdicts", "kt-invex", "kernel_samples", 4, "kernel", "eta"): [2.0]}),
+        # several defects of one pair, in their order
+        ("cube", {("pair_verdicts", "invex", "kernel_samples", 3, "kernel", "eta"): [40.0],
+                  ("pair_verdicts", "invex", "kernel_samples", 3, "kernel", "margin"): -1.0}),
+        ("cube", {("pair_verdicts", "invex", "failures", 0, "kernel"): {"eta": [0.0], "margin": 0.0},
+                  ("pair_verdicts", "invex", "failures", 0, "certificate", "lam"): [-0.5]}),
+        ("paper-example-2.1", {("pair_verdicts", "strict-invex", "failures", 2, "certificate"): None,
+                               ("pair_verdicts", "strict-invex", "kernel_samples", 0, "kernel",
+                                "margin"): 0.0}),
+    ],
+)
+def test_verify_report_matches_reference_on_tampered_multipliers(name, tampering):
+    report = oracle_report(name)
+    for path, value in tampering.items():
+        _tamper(report, path, value)
+    expected = reference_verify_report(copy.deepcopy(report))
+    assert expected
+    assert verify_report(report) == expected
+
+
+@pytest.mark.parametrize("delta", [-1e-4, -2e-6, -5e-7, 5e-8, 2e-7, 1e-3])
+def test_verify_report_matches_reference_on_shifted_run_values(delta):
+    # a minimizer may sit up to 1e-6 above the recorded value, and
+    # tol.strict below it
+    report = oracle_report("paper-example-2.1")
+    report["weighting_runs"][1]["value"] += delta
+    expected = reference_verify_report(copy.deepcopy(report))
+    assert bool(expected) == (delta < -1e-6 or delta > 1e-7)
+    assert verify_report(report) == expected
+
+
+@pytest.mark.parametrize(
+    "tampering",
+    [
+        {("kt_points", 0, "x"): [2.5, 0.0], ("critical_points", 0, "x"): [0.0, -3.0]},
+        {("kt_points", 0, "x"): [2.5, 0.0], ("weighting_runs", 0, "minimizers", 0): [3.0, 0.0]},
+        {("pair_verdicts", "invex", "kernel_samples", 0, "x"): [0.0, 9.0],
+         ("pair_verdicts", "kt-invex", "kernel_samples", 0, "x"): [7.0, 0.0]},
+    ],
+)
+def test_verify_report_raises_the_reference_error(tampering):
+    # two-var-convex has a constrained and an unconstrained variant: the
+    # error of the variant the reference evaluates first surfaces
+    report = oracle_report("two-var-convex")
+    for path, value in tampering.items():
+        _tamper(report, path, value)
+    with pytest.raises(ValueError) as expected:
+        reference_verify_report(copy.deepcopy(report))
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        verify_report(report)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
+def test_oracle_reports_verify_and_count_their_stationary_points(name):
+    report = oracle_report(name)
+    assert verify_report(report) == [] == reference_verify_report(report)
+    # the count each crosscheck check records is the length of the list
+    # `verify_report` compares it with (the five fixtures and capped-concave)
+    for check in report["crosscheck"]["checks"]:
+        is_kt = InvexityKind(check["kind"]).is_kt
+        points = report["kt_points" if is_kt else "critical_points"]
+        assert check["stationary_count"] == len(points)
+
+
+@pytest.mark.parametrize(
+    "name,path,value,defect",
+    [
+        ("paper-example-2.1", ("critical_points", 0, "lam"), [1.0],
+         "critical_points[0].lam has shape (1,), expected (2,)"),
+        ("paper-example-2.1", ("critical_points", 2, "x"), [0.0, 0.0],
+         "critical_points[2].x has shape (2,), expected (1,)"),
+        ("paper-example-2.1", ("weighting_runs", 1, "minimizers", 3), [[0.0]],
+         "weighting_runs[1].minimizers[3] has shape (1, 1), expected (1,)"),
+        ("paper-example-2.1", ("weighting_runs", 1, "lam"), [0.5, 0.25, 0.25],
+         "weighting_runs[1].lam has shape (3,), expected (2,)"),
+        ("paper-example-2.1",
+         ("pair_verdicts", "strict-invex", "failures", 0, "certificate", "lam"), [1.0],
+         "pair_verdicts.strict-invex.failures[0].certificate.lam has shape (1,), "
+         "expected (2,)"),
+        ("paper-example-2.1", ("pair_verdicts", "invex", "kernel_samples", 4, "kernel", "eta"),
+         "a", "pair_verdicts.invex.kernel_samples[4].kernel.eta is not an array of numbers"),
+        ("paper-example-2.1", ("pair_verdicts", "invex", "kernel_samples", 0, "x"), [0.0, 1.0],
+         "pair_verdicts.invex.kernel_samples[0].x has shape (2,), expected (1,)"),
+        ("capped-concave", ("kt_points", 5, "mu"), [1.0, 2.0],
+         "kt_points[5].mu has shape (2,), expected (1,)"),
+        ("capped-concave", ("crosscheck", "checks", 3, "kernel_failures", 10, "certificate", "mu"),
+         "x", "crosscheck.checks[3].kernel_failures[10].certificate.mu is not an array of numbers"),
+    ],
+)
+def test_verify_report_names_malformed_entries(name, path, value, defect):
+    report = oracle_report(name)
+    _tamper(report, path, value)
+    # one EvaluatedPoint per lookup raised on each of these
+    with pytest.raises(ValueError):
+        reference_verify_report(copy.deepcopy(report))
+    defects = verify_report(report)
+    assert defect in defects, defects
+    # the rest of the report still replays
+    assert [d for d in defects if d != defect] == []
+
+
+def test_cli_verify_reports_malformed_entries_as_defects(tmp_path, capsys):
+    report = oracle_report("paper-example-2.1")
+    report["critical_points"][0]["lam"] = [1.0]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(report))
+    assert run_cli("verify", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == "defect: critical_points[0].lam has shape (1,), expected (2,)\n"
+
+
+@pytest.mark.parametrize("name,variants", [("two-var-convex", 2), ("paper-example-2.1", 1)])
+def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, variants):
+    from invexcheck import problems, report as report_module
+
+    report = oracle_report(name)
+    calls = []
+    real = report_module.evaluate_many
+
+    def counted(problem, points, *args, **kwargs):
+        calls.append(problem)
+        return real(problem, points, *args, **kwargs)
+
+    def no_lookup(self, i):
+        raise AssertionError("verify_report built an EvaluatedPoint")
+
+    monkeypatch.setattr(report_module, "evaluate_many", counted)
+    monkeypatch.setattr(problems.PointBatch, "point", no_lookup)
+    assert verify_report(report) == []
+    assert len(calls) == variants == len({p.constraints for p in calls})
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -319,27 +629,47 @@ def test_cli_verify_recomputes_derived_flags(tmp_path, capsys):
     assert "crosscheck: agreement" in err
 
 
-def _flip(report, *path):
+_NEGATE = object()
+
+
+def _tamper(report, path, value=_NEGATE):
+    """Set the entry at ``path`` to ``value``, or negate it."""
     *parents, key = path
     for step in parents:
         report = report[step]
-    report[key] = not report[key]
+    report[key] = not report[key] if value is _NEGATE else value
+
+
+def _flip(path, fragment, index):
+    """A case that negates the flag at ``path``; its id is pytest's default
+    for a (path, fragment) case, so that the id stays stable."""
+    return pytest.param(path, _NEGATE, fragment, id=f"path{index}-{fragment}")
 
 
 @pytest.mark.parametrize(
-    "path,fragment",
+    "path,value,fragment",
     [
-        (("pair_verdicts", "invex", "all_pairs_kernel"), "invex pair verdict"),
-        (("pair_verdicts", "kt-invex", "all_pairs_kernel"), "kt-invex pair verdict"),
-        (("crosscheck", "checks", 0, "stationary_side"), "stationary_side"),
-        (("crosscheck", "checks", 1, "kernel_side"), "kernel_side"),
-        (("crosscheck", "checks", 2, "agreement"), "agreement contradicts its sides"),
-        (("crosscheck", "agreement"), "agreement contradicts its checks"),
+        _flip(("pair_verdicts", "invex", "all_pairs_kernel"), "invex pair verdict", 0),
+        _flip(("pair_verdicts", "kt-invex", "all_pairs_kernel"), "kt-invex pair verdict", 1),
+        _flip(("crosscheck", "checks", 0, "stationary_side"), "stationary_side", 2),
+        _flip(("crosscheck", "checks", 1, "kernel_side"), "kernel_side", 3),
+        _flip(("crosscheck", "checks", 2, "agreement"), "agreement contradicts its sides", 4),
+        _flip(("crosscheck", "agreement"), "agreement contradicts its checks", 5),
+        (
+            ("crosscheck", "checks", 0, "stationary_count"),
+            10,
+            "crosscheck invex: stationary_count 10 != 1 critical_points",
+        ),
+        (
+            ("crosscheck", "checks", 3, "stationary_count"),
+            0,
+            "crosscheck strict-kt-invex: stationary_count 0 != 1 kt_points",
+        ),
     ],
 )
-def test_verify_report_flags_flipped_derived_flag(cube_report, path, fragment):
+def test_verify_report_flags_flipped_derived_flag(cube_report, path, value, fragment):
     wire = json.loads(canonical_json(cube_report))
-    _flip(wire, *path)
+    _tamper(wire, path, value)
     defects = verify_report(wire)
     assert any(fragment in d for d in defects), defects
 
