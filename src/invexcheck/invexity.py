@@ -637,79 +637,22 @@ def validate_pair_verdict(
     """Replay a verdict's kernel or certificate by direct substitution."""
     points = [as_point(problem, verdict.xbar), as_point(problem, verdict.x)]
     batch = evaluate_many(problem, np.array(points), tol)
-    return validate_evaluated_pair(batch.point(0), batch.point(1), verdict, tol)
-
-
-def validate_evaluated_pair(
-    pbar: EvaluatedPoint,
-    p: EvaluatedPoint,
-    verdict: PairVerdict,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> list[str]:
-    """`validate_pair_verdict` at the already evaluated points x̄ and x."""
-    delta = p.objective_values - pbar.objective_values
-    jac = pbar.objective_jacobian
-    jac_active = pbar.active_jacobian
-    problems: list[str] = []
-    kind = verdict.kind
-
-    if verdict.kernel is not None and verdict.certificate is not None:
-        problems.append("verdict carries both a kernel and a certificate")
-    if verdict.kernel is None and verdict.certificate is None:
-        problems.append("verdict carries neither a kernel nor a certificate")
-
-    if verdict.kernel is not None:
-        eta, margin = verdict.kernel.eta, verdict.kernel.margin
-        slack = delta - jac @ eta
-        if kind.is_strict:
-            if margin <= 0:
-                problems.append(f"strict kernel margin {margin!r} not positive")
-            if float(slack.min()) < margin - tol.strict:
-                problems.append(
-                    f"strict kernel slack {slack.min():.3e} below margin {margin:.3e}"
-                )
-        else:
-            if float(slack.min()) < -tol.strict:
-                problems.append(f"kernel row violated by {-float(slack.min()):.3e}")
-            if margin < 0:
-                problems.append("kernel margin negative")
-        if kind.is_kt and jac_active.shape[0]:
-            weak = jac_active @ eta
-            if float(weak.max()) > tol.strict:
-                problems.append(f"active row Jg·η = {weak.max():.3e} > 0")
-
-    if verdict.certificate is not None:
-        cert = verdict.certificate
-        lam = np.asarray(cert.lam)
-        if float(lam.min()) < -tol.strict:
-            problems.append("certificate weight negative")
-        if abs(float(lam.sum()) - 1.0) > tol.strict:
-            problems.append("certificate weights not normalized")
-        combo = lam @ jac
-        if cert.mu is not None and jac_active.shape[0]:
-            mu = np.asarray(cert.mu)
-            if mu.size != jac_active.shape[0]:
-                problems.append("certificate μ length mismatches active set")
-            else:
-                if float(mu.min()) < -tol.strict:
-                    problems.append("certificate μ negative")
-                combo = combo + mu @ jac_active
-        resid = float(np.max(np.abs(combo))) if combo.size else 0.0
-        if resid > tol.strict:
-            problems.append(f"certificate stationarity residual {resid:.3e}")
-        actual = float(lam @ delta)
-        if abs(actual - cert.violation) > tol.strict:
-            problems.append(
-                f"stored violation {cert.violation:.3e} != recomputed {actual:.3e}"
-            )
-        if kind.is_strict:
-            if actual > tol.strict:
-                problems.append(f"strict certificate violation {actual:.3e} positive")
-        else:
-            if actual >= -tol.strict:
-                problems.append(
-                    f"certificate violation {actual:.3e} not strictly negative"
-                )
+    kernel, cert = verdict.kernel, verdict.certificate
+    s, n = problem.dimension, problem.n_objectives
+    (problems,) = validate_evaluated_pairs(
+        batch,
+        verdict.kind,
+        np.array([0]),
+        np.array([1]),
+        has_kernel=np.array([kernel is not None]),
+        eta=np.array([kernel.eta if kernel else np.zeros(s)], dtype=float),
+        margin=np.array([kernel.margin if kernel else 0.0], dtype=float),
+        has_certificate=np.array([cert is not None]),
+        lam=np.array([cert.lam if cert else np.zeros(n)], dtype=float),
+        mu=[None if cert is None or cert.mu is None else np.asarray(cert.mu, dtype=float)],
+        violation=np.array([cert.violation if cert else 0.0], dtype=float),
+        tol=tol,
+    )
     return problems
 
 
@@ -738,15 +681,15 @@ def validate_evaluated_pairs(
     violation: np.ndarray,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> list[list[str]]:
-    """`validate_evaluated_pair` for K verdicts of one kind at once.
+    """`validate_pair_verdict` for K verdicts of one kind at once.
 
     Pair k has x̄ = ``batch`` row ``xbar_rows[k]`` and x = row ``x_rows[k]``.
     Its kernel (if ``has_kernel[k]``) is η = ``eta[k]`` (shape (K, s)) with
     ``margin[k]``; its certificate (if ``has_certificate[k]``) is λ =
     ``lam[k]`` (shape (K, n)), μ = ``mu[k]`` (a 1-d array or None) and
-    ``violation[k]``. Returns each pair's problems, in the order and wording
-    of `validate_evaluated_pair`; every product has that function's shapes,
-    so the numbers are the same to the last bit.
+    ``violation[k]``. Returns each pair's problems in a fixed order; every
+    product is taken pair by pair, so a pair's numbers do not depend on
+    which other pairs share the call.
     """
     count = len(xbar_rows)
     problems: list[list[str]] = [[] for _ in range(count)]

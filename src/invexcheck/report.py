@@ -52,37 +52,29 @@ def canonical_json(value) -> str:
 
 
 def _emit(value, out: list[str]) -> None:
-    # the report's own types first; numpy values, ints and bools go the long way
-    kind = type(value)
-    if kind is float:
-        _emit_floats((value,), out)
-    elif kind is str:
-        out.append(encode_basestring(value))
-    elif kind is list or kind is tuple:
-        if value and set(map(type, value)) == {float}:
+    # containers first: they are most of a report's values
+    if isinstance(value, (list, tuple, np.ndarray)):
+        seq = value.tolist() if isinstance(value, np.ndarray) else value
+        if seq and set(map(type, seq)) == {float}:  # a vector: one format call
             out.append("[")
-            _emit_floats(value, out)
+            _emit_floats(seq, out)
             out.append("]")
         else:
-            _emit_sequence(value, out)
-    elif kind is dict:
+            _emit_sequence(seq, out)
+    elif isinstance(value, dict):
         _emit_dict(value, out)
+    elif isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, (float, np.floating)):
+        _emit_floats((float(value),), out)
     elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, str):
-        out.append(encode_basestring(value))
     elif isinstance(value, (int, np.integer)):
         out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        _emit_floats((float(value),), out)
-    elif isinstance(value, dict):
-        _emit_dict(value, out)
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        _emit_sequence(value.tolist() if isinstance(value, np.ndarray) else value, out)
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
 
@@ -314,14 +306,15 @@ def strip_timings(report: dict) -> dict:
 
 def _stack(values: list, shape: tuple[int, ...], point: bool = False):
     """``values`` as one float array of shape (K, *shape), and the shape of
-    each entry that does not fit, by index (None: not an array of numbers).
+    each entry that does not fit, by index (None: not an array of finite
+    numbers; numpy reads a JSON null as NaN).
 
     With ``point`` a number counts as a 1-vector, as in `as_point`. Entries
     that do not fit leave zero rows.
     """
     try:
         stacked = np.array(values, dtype=float)
-        if stacked.shape == (len(values), *shape):
+        if stacked.shape == (len(values), *shape) and np.isfinite(stacked).all():
             return stacked, {}
     except (TypeError, ValueError):
         pass
@@ -331,6 +324,8 @@ def _stack(values: list, shape: tuple[int, ...], point: bool = False):
         try:
             array = np.asarray(value, dtype=float)
         except (TypeError, ValueError):
+            array = None
+        if array is None or not np.isfinite(array).all():
             misfits[i] = None
             continue
         if point:
@@ -344,8 +339,23 @@ def _stack(values: list, shape: tuple[int, ...], point: bool = False):
 
 def _shape_defect(path: str, found: tuple[int, ...] | None, expected) -> str:
     if found is None:
-        return f"{path} is not an array of numbers"
+        return f"{path} is not {'a number' if expected == () else 'an array of numbers'}"
     return f"{path} has shape {found}, expected {expected}"
+
+
+def _number(value) -> float:
+    """``value`` as a float, NaN if it is not a number."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _kind(name) -> InvexityKind | None:
+    try:
+        return InvexityKind(name)
+    except ValueError:
+        return None
 
 
 class _Flags:
@@ -362,11 +372,15 @@ class _Flags:
         for k in np.flatnonzero(where) if where.dtype == bool else where:
             self._by_entry.setdefault(int(k), []).append(message(int(k)))
 
-    def misfit(self, k: int, path: str, found, expected) -> None:
+    def reject(self, k: int, message: str) -> None:
         """Flag entry ``k`` as malformed (once) and check it no further."""
         if self.ok[k]:
-            self.add([k], lambda _: _shape_defect(path, found, expected))
+            self.add([k], lambda _: message)
             self.ok[k] = False
+
+    def misfit(self, k: int, path: str, found, expected) -> None:
+        """`reject` entry ``k`` for the shape ``found`` of ``path`` (see `_stack`)."""
+        self.reject(k, _shape_defect(path, found, expected))
 
     def lines(self) -> list[str]:
         return [line for k in sorted(self._by_entry) for line in self._by_entry[k]]
@@ -573,34 +587,45 @@ def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
         if lam_misfits:
             flags.misfit(members[0], f"weighting_runs[{r}].lam", lam_misfits[0], (n,))
             continue
+        recorded = _number(run["value"])
+        if not math.isfinite(recorded):
+            flags.misfit(members[0], f"weighting_runs[{r}].value", None, ())
+            continue
         # λ·f(x) per minimizer, with the shapes of a single dot product
         f_values = batch.objective_values[rows[members], :, None]
         values[members] = (lam[:, None, :] @ f_values)[:, 0, 0]
-        low, high = run["value"] - tol.strict, run["value"] + 1e-6
+        low, high = recorded - tol.strict, recorded + 1e-6
         off = (values[members] < low) | (values[members] > high)
         flags.add(members[off], lambda k: (
             f"weighting minimizer {minimizers[k]}: value {values[k]:.6e} "
-            f"!= recorded {run['value']:.6e}"))
+            f"!= recorded {recorded:.6e}"))
     return flags.lines()
 
 
 def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
     """(path, KT variant, item, label) of every recorded pair verdict."""
     pairs = []
+    # the pairs under an unknown kind are skipped; `_derived_flag_defects` names it
     for kind_name, verdict_data in report.get("pair_verdicts", {}).items():
+        kind = _kind(kind_name)
+        if kind is None:
+            continue
         for group in ("failures", "kernel_samples"):
             for i, item in enumerate(verdict_data.get(group, ())):
                 pairs.append((
                     f"pair_verdicts.{kind_name}.{group}[{i}]",
-                    InvexityKind(kind_name).is_kt,
+                    kind.is_kt,
                     item,
                     f"{kind_name} pair (xbar={item['xbar']}, x={item['x']})",
                 ))
     for c, check in enumerate(report.get("crosscheck", {}).get("checks", ())):
+        kind = _kind(check.get("kind"))
+        if kind is None:
+            continue
         for i, item in enumerate(check.get("kernel_failures", ())):
             pairs.append((
                 f"crosscheck.checks[{c}].kernel_failures[{i}]",
-                InvexityKind(check["kind"]).is_kt,
+                kind.is_kt,
                 item,
                 f"crosscheck {check['kind']} failure pair",
             ))
@@ -610,16 +635,16 @@ def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
 def _parse_pair(item: dict):
     """(kind, (η, margin) or None, (λ, μ, violation) or None) of one verdict.
 
-    Raises on an unknown kind, or on a margin or violation that is not a
-    number; the vectors are checked by shape later.
+    An unknown kind is None and a margin or violation that is not a number
+    is NaN; the vectors are checked by shape later.
     """
     kernel = item.get("kernel")
     if kernel is not None:
-        kernel = (kernel["eta"], float(kernel["margin"]))
+        kernel = (kernel["eta"], _number(kernel["margin"]))
     cert = item.get("certificate")
     if cert is not None:
-        cert = (cert["lam"], cert.get("mu"), float(cert["violation"]))
-    return InvexityKind(item["kind"]), kernel, cert
+        cert = (cert["lam"], cert.get("mu"), _number(cert["violation"]))
+    return _kind(item["kind"]), kernel, cert
 
 
 def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]:
@@ -632,6 +657,9 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
     lam, lam_misfits = _stack([c[0] if c else [0.0] * n for c in certs], (n,))
     rows = np.zeros((len(pairs), 2), dtype=int)
     groups: dict[tuple[_Replay, InvexityKind], list[int]] = {}
+    for k, (kind, _, _) in enumerate(parsed):
+        if kind is None:
+            flags.reject(k, f"{pairs[k][0]}.kind {pairs[k][2]['kind']!r} is not a known kind")
     for points, members, (handle, misfits) in pair_x:
         for j, found in misfits.items():
             k = members[j // 2]
@@ -639,7 +667,8 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
         if points.batch is not None:
             rows[members] = points.rows(handle).reshape(-1, 2)
         for k in members:
-            groups.setdefault((points, parsed[k][0]), []).append(k)
+            if parsed[k][0] is not None:
+                groups.setdefault((points, parsed[k][0]), []).append(k)
     for k, found in eta_misfits.items():
         flags.misfit(k, f"{pairs[k][0]}.kernel.eta", found, (s,))
     for k, found in lam_misfits.items():
@@ -650,16 +679,22 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
             continue
         try:
             mu[k] = np.asarray(given, dtype=float)
+            finite = np.isfinite(mu[k]).all()
         except (TypeError, ValueError):
+            finite = False
+        if not finite:
             flags.misfit(k, f"{pairs[k][0]}.certificate.mu", None, "a vector")
-            continue
-        if mu[k].ndim != 1:
+        elif mu[k].ndim != 1:
             flags.misfit(k, f"{pairs[k][0]}.certificate.mu", mu[k].shape, "a vector")
 
     has_kernel = np.array([k is not None for k in kernels], dtype=bool)
     has_certificate = np.array([c is not None for c in certs], dtype=bool)
     margin = np.array([k[1] if k else 0.0 for k in kernels])
     violation = np.array([c[2] if c else 0.0 for c in certs])
+    for k in np.flatnonzero(~np.isfinite(margin)):
+        flags.misfit(k, f"{pairs[k][0]}.kernel.margin", None, ())
+    for k in np.flatnonzero(~np.isfinite(violation)):
+        flags.misfit(k, f"{pairs[k][0]}.certificate.violation", None, ())
     for (points, kind), group in groups.items():
         group = np.array(group)
         group = group[flags.ok[group]]
@@ -686,9 +721,12 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
 
 
 def _derived_flag_defects(report: dict) -> list[str]:
-    """Recompute the booleans a report derives from its own lists."""
+    """Recompute the booleans and counts a report derives from its own
+    lists, and name each kind that is not an `InvexityKind`."""
     defects = []
     for kind_name, verdict in report.get("pair_verdicts", {}).items():
+        if _kind(kind_name) is None:
+            defects.append(f"pair_verdicts.{kind_name} is not a known kind")
         if verdict.get("all_pairs_kernel") != (not verdict.get("failures")):
             defects.append(
                 f"{kind_name} pair verdict: all_pairs_kernel contradicts its failures"
@@ -697,15 +735,21 @@ def _derived_flag_defects(report: dict) -> list[str]:
     if crosscheck is None:
         return defects
     checks = crosscheck.get("checks", ())
-    for check in checks:
+    for c, check in enumerate(checks):
         label = f"crosscheck {check.get('kind')}"
-        stationary = "kt_points" if InvexityKind(check.get("kind")).is_kt else "critical_points"
-        count = len(report.get(stationary, ()))
-        if check.get("stationary_count") != count:
+        kind = _kind(check.get("kind"))
+        if kind is None:
             defects.append(
-                f"{label}: stationary_count {check.get('stationary_count')!r} "
-                f"!= {count} {stationary}"
+                f"crosscheck.checks[{c}].kind {check.get('kind')!r} is not a known kind"
             )
+        else:
+            stationary = "kt_points" if kind.is_kt else "critical_points"
+            count = len(report.get(stationary, ()))
+            if check.get("stationary_count") != count:
+                defects.append(
+                    f"{label}: stationary_count {check.get('stationary_count')!r} "
+                    f"!= {count} {stationary}"
+                )
         for side, failures in (
             ("stationary_side", "stationary_failures"),
             ("kernel_side", "kernel_failures"),

@@ -5,6 +5,7 @@ formats one value at a time. `reference_verify_report` replays a report one
 lookup at a time: every point becomes an `EvaluatedPoint`, and each pair goes
 through `validate_evaluated_pair`. It does not check `stationary_count`, and
 a malformed shape makes it raise instead of reporting a defect.
+`validate_evaluated_pair` is the pair replay with one product per pair.
 """
 
 import json
@@ -17,7 +18,6 @@ from invexcheck.invexity import (
     InvexityKind,
     KernelWitness,
     PairVerdict,
-    validate_evaluated_pair,
 )
 from invexcheck.problems import (
     EvaluatedPoint,
@@ -28,7 +28,7 @@ from invexcheck.problems import (
     without_constraints,
 )
 from invexcheck.report import tolerances_from_dict
-from invexcheck.simplex import ToleranceConfig
+from invexcheck.simplex import DEFAULT_TOL, ToleranceConfig
 
 
 def reference_canonical_json(value) -> str:
@@ -74,6 +74,80 @@ def reference_emit(value, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(value).__name__} canonically")
+
+
+def validate_evaluated_pair(
+    pbar: EvaluatedPoint,
+    p: EvaluatedPoint,
+    verdict: PairVerdict,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[str]:
+    """`validate_pair_verdict` at the already evaluated points x̄ and x, one
+    product per pair (the oracle for `validate_evaluated_pairs`)."""
+    delta = p.objective_values - pbar.objective_values
+    jac = pbar.objective_jacobian
+    jac_active = pbar.active_jacobian
+    problems: list[str] = []
+    kind = verdict.kind
+
+    if verdict.kernel is not None and verdict.certificate is not None:
+        problems.append("verdict carries both a kernel and a certificate")
+    if verdict.kernel is None and verdict.certificate is None:
+        problems.append("verdict carries neither a kernel nor a certificate")
+
+    if verdict.kernel is not None:
+        eta, margin = verdict.kernel.eta, verdict.kernel.margin
+        slack = delta - jac @ eta
+        if kind.is_strict:
+            if margin <= 0:
+                problems.append(f"strict kernel margin {margin!r} not positive")
+            if float(slack.min()) < margin - tol.strict:
+                problems.append(
+                    f"strict kernel slack {slack.min():.3e} below margin {margin:.3e}"
+                )
+        else:
+            if float(slack.min()) < -tol.strict:
+                problems.append(f"kernel row violated by {-float(slack.min()):.3e}")
+            if margin < 0:
+                problems.append("kernel margin negative")
+        if kind.is_kt and jac_active.shape[0]:
+            weak = jac_active @ eta
+            if float(weak.max()) > tol.strict:
+                problems.append(f"active row Jg·η = {weak.max():.3e} > 0")
+
+    if verdict.certificate is not None:
+        cert = verdict.certificate
+        lam = np.asarray(cert.lam)
+        if float(lam.min()) < -tol.strict:
+            problems.append("certificate weight negative")
+        if abs(float(lam.sum()) - 1.0) > tol.strict:
+            problems.append("certificate weights not normalized")
+        combo = lam @ jac
+        if cert.mu is not None and jac_active.shape[0]:
+            mu = np.asarray(cert.mu)
+            if mu.size != jac_active.shape[0]:
+                problems.append("certificate μ length mismatches active set")
+            else:
+                if float(mu.min()) < -tol.strict:
+                    problems.append("certificate μ negative")
+                combo = combo + mu @ jac_active
+        resid = float(np.max(np.abs(combo))) if combo.size else 0.0
+        if resid > tol.strict:
+            problems.append(f"certificate stationarity residual {resid:.3e}")
+        actual = float(lam @ delta)
+        if abs(actual - cert.violation) > tol.strict:
+            problems.append(
+                f"stored violation {cert.violation:.3e} != recomputed {actual:.3e}"
+            )
+        if kind.is_strict:
+            if actual > tol.strict:
+                problems.append(f"strict certificate violation {actual:.3e} positive")
+        else:
+            if actual >= -tol.strict:
+                problems.append(
+                    f"certificate violation {actual:.3e} not strictly negative"
+                )
+    return problems
 
 
 def pair_verdict_from_dict(data: dict) -> PairVerdict:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from problemgen import small_polynomial_problems
+from reference_report import validate_evaluated_pair
 
 from invexcheck.invexity import (
     DEGENERATE_PAIR_RADIUS,
@@ -26,7 +27,6 @@ from invexcheck.invexity import (
     strict_invex_pair,
     strict_kt_invex_pair,
     theorem_crosscheck,
-    validate_evaluated_pair,
     validate_evaluated_pairs,
     validate_pair_verdict,
 )
@@ -539,8 +539,9 @@ _WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, -0.25, 1e-10]) | st.floats(-1, 2)
 @settings(max_examples=60, deadline=None)
 @given(small_polynomial_problems(), st.sampled_from(list(InvexityKind)), st.data())
 def test_grouped_pair_replay_matches_one_pair_replay(problem, kind, data):
-    """Random verdicts of one kind replayed together give each pair the
-    problems `validate_evaluated_pair` gives it alone, in the same words."""
+    """Random verdicts of one kind replayed together, or one at a time by
+    `validate_pair_verdict`, give each pair the problems the one-product
+    reference gives it alone, in the same words."""
     # one more constraint, active where the first variable is ±0.5, so that
     # base points have different active sets
     extra = f"{problem.variables[0]}^2 - 0.25"
@@ -586,3 +587,5 @@ def test_grouped_pair_replay_matches_one_pair_replay(problem, kind, data):
     for (xbar_row, x_row), verdict, problems in zip(rows, verdicts, grouped):
         single = validate_evaluated_pair(batch.point(xbar_row), batch.point(x_row), verdict)
         assert problems == single
+        # the one-pair API is the grouped replay of one pair
+        assert validate_pair_verdict(problem, verdict) == single

@@ -400,6 +400,73 @@ def test_cli_verify_reports_malformed_entries_as_defects(tmp_path, capsys):
     assert err == "defect: critical_points[0].lam has shape (1,), expected (2,)\n"
 
 
+_KERNEL_4 = ("pair_verdicts", "invex", "kernel_samples", 4, "kernel")
+_STRICT_CERTIFICATE = ("pair_verdicts", "strict-invex", "failures", 0, "certificate")
+
+
+@pytest.mark.parametrize(
+    "name,path,value,defect",
+    [
+        # numpy reads a JSON null in a list as NaN
+        ("paper-example-2.1", ("critical_points", 0, "lam"), [None, None],
+         "critical_points[0].lam is not an array of numbers"),
+        ("paper-example-2.1", ("kt_points", 0, "lam"), [None, None],
+         "kt_points[0].lam is not an array of numbers"),
+        ("paper-example-2.1", ("weighting_runs", 1, "lam"), [None, None],
+         "weighting_runs[1].lam is not an array of numbers"),
+        ("paper-example-2.1", ("critical_points", 0, "lam"), [math.nan, 1.0],
+         "critical_points[0].lam is not an array of numbers"),
+        ("paper-example-2.1", ("critical_points", 2, "x"), [None],
+         "critical_points[2].x is not an array of numbers"),
+        ("paper-example-2.1", ("pair_verdicts", "invex", "kernel_samples", 0, "xbar"),
+         [math.inf], "pair_verdicts.invex.kernel_samples[0].xbar is not an array of numbers"),
+        ("paper-example-2.1", ("weighting_runs", 1, "value"), math.nan,
+         "weighting_runs[1].value is not a number"),
+        ("paper-example-2.1", ("weighting_runs", 1, "value"), None,
+         "weighting_runs[1].value is not a number"),
+        ("paper-example-2.1", _KERNEL_4 + ("margin",), math.nan,
+         "pair_verdicts.invex.kernel_samples[4].kernel.margin is not a number"),
+        ("paper-example-2.1", _STRICT_CERTIFICATE + ("violation",), None,
+         "pair_verdicts.strict-invex.failures[0].certificate.violation is not a number"),
+        ("capped-concave", ("kt_points", 5, "mu"), [math.nan],
+         "kt_points[5].mu is not an array of numbers"),
+        ("capped-concave", _CAPPED_CERTIFICATE + ("mu",), [None],
+         "pair_verdicts.strict-kt-invex.failures[9].certificate.mu is not an array of numbers"),
+    ],
+)
+def test_verify_report_names_non_finite_entries(name, path, value, defect):
+    # every comparison with NaN is false, so a NaN would pass each check
+    report = oracle_report(name)
+    _tamper(report, path, value)
+    assert verify_report(report) == [defect]
+
+
+def _rename_pair_kind(report):
+    report["pair_verdicts"]["bogus"] = report["pair_verdicts"].pop("invex")
+
+
+@pytest.mark.parametrize(
+    "path,value,defect",
+    [
+        # a check with kernel failures, whose pairs are not replayed
+        (("crosscheck", "checks", 0, "kind"), "bogus",
+         "crosscheck.checks[0].kind 'bogus' is not a known kind"),
+        (("crosscheck", "checks", 2, "kind"), None,
+         "crosscheck.checks[2].kind None is not a known kind"),
+        (("pair_verdicts", "invex", "kernel_samples", 0, "kind"), "bogus",
+         "pair_verdicts.invex.kernel_samples[0].kind 'bogus' is not a known kind"),
+        (None, _rename_pair_kind, "pair_verdicts.bogus is not a known kind"),
+    ],
+)
+def test_verify_report_names_unknown_kinds(path, value, defect):
+    report = oracle_report("cube")
+    if path is None:
+        value(report)
+    else:
+        _tamper(report, path, value)
+    assert verify_report(report) == [defect]
+
+
 @pytest.mark.parametrize("name,variants", [("two-var-convex", 2), ("paper-example-2.1", 1)])
 def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, variants):
     from invexcheck import problems, report as report_module
