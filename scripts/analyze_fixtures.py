@@ -11,6 +11,7 @@ import sys
 import time
 
 from invexcheck import (
+    Analysis,
     GridSampler,
     InvexityKind,
     certify_domain,
@@ -35,8 +36,11 @@ def main(argv=None):
     print("-" * len(header))
     for name in names:
         problem = fixture(name)
+        analysis = Analysis(problem)  # the sweeps below reuse the crosscheck's
         t0 = time.perf_counter()
-        report = theorem_crosscheck(problem, args.grid_step, pair_step=args.pair_step)
+        report = theorem_crosscheck(
+            problem, args.grid_step, pair_step=args.pair_step, analysis=analysis
+        )
         elapsed = time.perf_counter() - t0
         for check in report.checks:
             note = ""
@@ -56,7 +60,9 @@ def main(argv=None):
 
         # domain sweep summary, one line per kind
         for kind in InvexityKind:
-            dv = certify_domain(problem, kind, GridSampler(args.pair_step))
+            dv = certify_domain(
+                problem, kind, GridSampler(args.pair_step), analysis=analysis
+            )
             tag = "all-pairs kernel" if dv.all_pairs_kernel else \
                 f"{len(dv.failures)} failing pair(s)"
             print(f"{'':<22} sweep {kind.value:<16} "

@@ -22,11 +22,9 @@ from invexcheck import (
     evaluate,
     fixture,
     fixture_names,
-    gordan,
     motzkin,
     pair_certifier,
     solve_lp,
-    validate_gordan,
     validate_motzkin,
     validate_outcome,
     validate_pair_verdict,
@@ -53,15 +51,13 @@ def audit_alternatives(rng, count):
     branches = {}
     for i in range(count):
         A = random_matrix(rng)
-        if i % 2 == 0:
-            out = gordan(A)
-            found = validate_gordan(A, out)
-            key = "gordan/" + ("primal" if out.primal_witness is not None else "dual")
-        else:
+        B = None  # Gordan's theorem
+        if i % 2:
             B = rng.uniform(-5, 5, size=(int(rng.integers(1, 7)), A.shape[1]))
-            out = motzkin(A, B)
-            found = validate_motzkin(A, B, out)
-            key = "motzkin/" + ("primal" if out.primal_witness is not None else "dual")
+        out = motzkin(A, B)
+        found = validate_motzkin(A, B, out)
+        theorem = "gordan" if B is None else "motzkin"
+        key = f"{theorem}/" + ("primal" if out.primal_witness is not None else "dual")
         branches[key] = branches.get(key, 0) + 1
         for d in found:
             defects.append(f"alternative {i}: {d}")

@@ -1,10 +1,9 @@
-"""Constructive deciders for two classical theorems of the alternative.
+"""A constructive decider for Motzkin's theorem of the alternative.
 
-`gordan(A)` decides between the strict system {A x < 0} and its dual
-{A^T y = 0, y >= 0, y != 0}; `motzkin(A, B)` does the same for
-{A x < 0, B x <= 0} versus {A^T y + B^T z = 0, y >= 0, y != 0, z >= 0}.
-Exactly one side holds, and the returned witness can be replayed by
-substitution.
+`motzkin(A, B)` decides between the system {A x < 0, B x <= 0} and its
+dual {A^T y + B^T z = 0, y >= 0, y != 0, z >= 0}; without B it is
+Gordan's theorem, {A x < 0} versus {A^T y = 0, y >= 0, y != 0}. Exactly
+one side holds, and the returned witness can be replayed by substitution.
 
 The decision runs through one auxiliary LP: maximize delta subject to
 A x + delta <= 0 (and B x <= 0), delta <= 1. Both systems are positively
@@ -39,18 +38,6 @@ class AlternativeBranch(Enum):
 
 
 @dataclass
-class GordanOutcome:
-    branch: AlternativeBranch
-    primal_witness: np.ndarray | None
-    dual_witness: np.ndarray | None
-    strict_margin: float
-
-    @property
-    def primal_holds(self) -> bool:
-        return self.branch is AlternativeBranch.PRIMAL
-
-
-@dataclass
 class MotzkinOutcome:
     branch: AlternativeBranch
     primal_witness: np.ndarray | None
@@ -72,12 +59,27 @@ def _as_matrix(mat, label: str) -> np.ndarray:
     return arr
 
 
-def _auxiliary(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
-    """Solve max delta s.t. Ax + delta e <= 0, Bx <= 0, delta <= 1."""
+def motzkin(A, B=None, tol: ToleranceConfig = DEFAULT_TOL) -> MotzkinOutcome:
+    """Decide {A x < 0, B x <= 0} versus its Motzkin dual; without B (None
+    or empty) this is Gordan's {A x < 0} versus {A^T y = 0, y >= 0, y != 0}."""
+    A = _as_matrix(A, "A")
+    if A.shape[0] == 0 or A.shape[1] == 0:
+        raise DimensionMismatchError("A must be nonempty")
+    if B is None:
+        B = np.zeros((0, A.shape[1]))
+    else:
+        B = _as_matrix(B, "B")
+        if B.size == 0:
+            B = B.reshape(0, A.shape[1])
+        if B.shape[1] != A.shape[1]:
+            raise DimensionMismatchError(
+                f"B has {B.shape[1]} columns, expected {A.shape[1]}"
+            )
+    # the auxiliary LP: max delta s.t. Ax + delta e <= 0, Bx <= 0, delta <= 1
     p, q = A.shape
     r = B.shape[0]
     top = np.hstack([A, np.ones((p, 1))])
-    mid = np.hstack([B, np.zeros((r, 1))]) if r else np.zeros((0, q + 1))
+    mid = np.hstack([B, np.zeros((r, 1))])
     cap = np.zeros((1, q + 1))
     cap[0, q] = 1.0
     matrix = np.vstack([top, mid, cap])
@@ -95,59 +97,12 @@ def _auxiliary(A: np.ndarray, B: np.ndarray, tol: ToleranceConfig):
     if outcome.status is not LpStatus.OPTIMAL:
         raise NumericalBreakdownError(f"auxiliary LP ended {outcome.status.value}")
     delta = -float(outcome.objective_value) + 0.0  # avoid -0.0
-    witness = outcome.primal_solution[:q]
     # duals are <= 0 on <= rows of a minimization; flip to the y >= 0 scale
     y_aug = -outcome.dual_values
-    return delta, witness, y_aug
-
-
-def gordan(A, tol: ToleranceConfig = DEFAULT_TOL) -> GordanOutcome:
-    """Decide {A x < 0} versus {A^T y = 0, y >= 0, y != 0}."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise DimensionMismatchError("A must be nonempty")
-    delta, witness, y_aug = _auxiliary(A, np.zeros((0, A.shape[1])), tol)
-    if delta > tol.strict:
-        return GordanOutcome(
-            branch=AlternativeBranch.PRIMAL,
-            primal_witness=witness,
-            dual_witness=None,
-            strict_margin=delta,
-        )
-    y = np.clip(y_aug[: A.shape[0]], 0.0, None)
-    total = float(np.sum(y))
-    if total <= tol.strict:
-        raise NumericalBreakdownError("degenerate dual weights in Gordan decision")
-    return GordanOutcome(
-        branch=AlternativeBranch.DUAL,
-        primal_witness=None,
-        dual_witness=y / total,
-        strict_margin=delta,
-    )
-
-
-def motzkin(A, B=None, tol: ToleranceConfig = DEFAULT_TOL) -> MotzkinOutcome:
-    """Decide {A x < 0, B x <= 0} versus its Motzkin dual; B may be empty."""
-    A = _as_matrix(A, "A")
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise DimensionMismatchError("A must be nonempty")
-    if B is None:
-        B = np.zeros((0, A.shape[1]))
-    else:
-        B = _as_matrix(B, "B")
-        if B.size == 0:
-            B = B.reshape(0, A.shape[1])
-        if B.shape[1] != A.shape[1]:
-            raise DimensionMismatchError(
-                f"B has {B.shape[1]} columns, expected {A.shape[1]}"
-            )
-    p = A.shape[0]
-    r = B.shape[0]
-    delta, witness, y_aug = _auxiliary(A, B, tol)
     if delta > tol.strict:
         return MotzkinOutcome(
             branch=AlternativeBranch.PRIMAL,
-            primal_witness=witness,
+            primal_witness=outcome.primal_solution[:q],
             dual_witness_y=None,
             dual_witness_z=None,
             strict_margin=delta,
@@ -164,29 +119,6 @@ def motzkin(A, B=None, tol: ToleranceConfig = DEFAULT_TOL) -> MotzkinOutcome:
         dual_witness_z=z / total,
         strict_margin=delta,
     )
-
-
-def validate_gordan(A, outcome: GordanOutcome, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:
-    """Replay a Gordan outcome's witness; returns found defects."""
-    A = np.asarray(A, dtype=float)
-    problems: list[str] = []
-    if outcome.primal_holds:
-        w = outcome.primal_witness
-        slack = A @ w
-        if np.max(slack) > -outcome.strict_margin + tol.duality_gap:
-            problems.append(f"primal witness slack {np.max(slack):.3e} above -margin")
-        if outcome.strict_margin <= tol.strict:
-            problems.append("primal branch with nonpositive margin")
-    else:
-        y = outcome.dual_witness
-        if np.min(y) < -tol.duality_gap:
-            problems.append("dual witness has a negative weight")
-        if abs(float(np.sum(y)) - 1.0) > tol.duality_gap:
-            problems.append("dual witness not normalized")
-        resid = float(np.max(np.abs(A.T @ y)))
-        if resid > tol.duality_gap:
-            problems.append(f"dual combination residual {resid:.3e}")
-    return problems
 
 
 def validate_motzkin(A, B, outcome: MotzkinOutcome, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .alternative import gordan, motzkin
+from .alternative import motzkin
 from .expressions import DomainError
 from .invexity import GridSampler, InvexityKind, RandomSampler, pair_certifier
 from .problems import (
@@ -104,15 +104,13 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    tol = DEFAULT_TOL
-    updates = {}
-    if args.tol_feas is not None:
-        updates["feasibility"] = args.tol_feas
-    if args.tol_stationary is not None:
-        updates["stationary"] = args.tol_stationary
-    if args.tol_strict is not None:
-        updates["strict"] = args.tol_strict
-    return replace(tol, **updates) if updates else tol
+    """The defaults with the tolerance flags given; ValueError if one is invalid."""
+    flags = {
+        "feasibility": args.tol_feas,
+        "stationary": args.tol_stationary,
+        "strict": args.tol_strict,
+    }
+    return replace(DEFAULT_TOL, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -230,41 +228,30 @@ def _cmd_pair(args) -> int:
     return EXIT_OK
 
 
+def _floats(vector) -> list[float] | None:
+    return None if vector is None else [float(v) for v in vector]
+
+
 def _cmd_alternative(args) -> int:
     with open(args.matrix_a, "r", encoding="utf-8") as handle:
         A = parse_matrix_csv(handle.read(), args.matrix_a)
     tol = _tolerances(args)
-    if args.matrix_b is None:
-        outcome = gordan(A, tol)
-        payload = {
-            "theorem": "gordan",
-            "branch": outcome.branch.value,
-            "primal_witness": None
-            if outcome.primal_witness is None
-            else [float(v) for v in outcome.primal_witness],
-            "dual_witness": None
-            if outcome.dual_witness is None
-            else [float(v) for v in outcome.dual_witness],
-            "strict_margin": outcome.strict_margin,
-        }
-    else:
+    B = None
+    if args.matrix_b is not None:
         with open(args.matrix_b, "r", encoding="utf-8") as handle:
             B = parse_matrix_csv(handle.read(), args.matrix_b)
-        outcome = motzkin(A, B, tol)
-        payload = {
-            "theorem": "motzkin",
-            "branch": outcome.branch.value,
-            "primal_witness": None
-            if outcome.primal_witness is None
-            else [float(v) for v in outcome.primal_witness],
-            "dual_witness_y": None
-            if outcome.dual_witness_y is None
-            else [float(v) for v in outcome.dual_witness_y],
-            "dual_witness_z": None
-            if outcome.dual_witness_z is None
-            else [float(v) for v in outcome.dual_witness_z],
-            "strict_margin": outcome.strict_margin,
-        }
+    outcome = motzkin(A, B, tol)
+    payload = {
+        "theorem": "gordan" if B is None else "motzkin",
+        "branch": outcome.branch.value,
+        "primal_witness": _floats(outcome.primal_witness),
+        "strict_margin": outcome.strict_margin,
+    }
+    if B is None:  # Gordan's theorem: y alone
+        payload["dual_witness"] = _floats(outcome.dual_witness_y)
+    else:
+        payload["dual_witness_y"] = _floats(outcome.dual_witness_y)
+        payload["dual_witness_z"] = _floats(outcome.dual_witness_z)
     _write_output(canonical_json(payload), args.output)
     return EXIT_OK
 

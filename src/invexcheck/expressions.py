@@ -293,7 +293,9 @@ def _fmt(node: Expr, prec: int) -> str:
                 left = _paren(left)
         if isinstance(node.right, BinOp):
             rp = _PREC_ADD if node.right.op in "+-" else _PREC_MUL
-            if rp < mine or (rp == mine and node.op in "-/"):
+            # a same-precedence right operand keeps its parentheses: float
+            # addition and multiplication are not associative either
+            if rp <= mine:
                 right = _paren(right)
         text = f"{left} {node.op} {right}"
         return _paren(text) if prec > mine else text

@@ -36,21 +36,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .alternative import gordan, motzkin
+from .alternative import motzkin
 from .problems import (
+    Analysis,
     EvaluatedPoint,
+    GridSampler,
     InfeasiblePointError,
     PointBatch,
     Problem,
+    RandomSampler,
     as_point,
     evaluate_many,
-    grid_points,
-    random_points,
-    without_constraints,
+    use_analysis,
 )
 from .scalarization import (
     Globality,
@@ -101,7 +101,7 @@ class InvexityKind(Enum):
         return self in (InvexityKind.KT_INVEX, InvexityKind.STRICT_KT_INVEX)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelWitness:
     """A vector η making the invexity inequalities hold for one pair."""
 
@@ -109,7 +109,7 @@ class KernelWitness:
     margin: float  # worst objective-row slack; strictly positive for strict kinds
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualCertificate:
     """Multipliers proving no kernel exists for one pair.
 
@@ -123,7 +123,7 @@ class DualCertificate:
     violation: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairVerdict:
     kind: InvexityKind
     xbar: np.ndarray
@@ -319,16 +319,11 @@ def _strict_pair(
     strict_block[1:, :s] = pbar.objective_jacobian
     strict_block[1:, s] = delta
 
+    weak_block = None
     if with_active:
         jac_active = pbar.active_jacobian
         weak_block = np.hstack([jac_active, np.zeros((jac_active.shape[0], 1))])
-        outcome = motzkin(strict_block, weak_block, tol)
-        dual_lam_raw = outcome.dual_witness_y
-        dual_mu_raw = outcome.dual_witness_z
-    else:
-        outcome = gordan(strict_block, tol)
-        dual_lam_raw = outcome.dual_witness
-        dual_mu_raw = None
+    outcome = motzkin(strict_block, weak_block, tol)
 
     if outcome.primal_holds:
         zeta, xi = outcome.primal_witness[:s], float(outcome.primal_witness[s])
@@ -343,12 +338,12 @@ def _strict_pair(
             certificate=None,
         )
 
-    lam_raw = dual_lam_raw[1:]  # drop the homogenizing row's multiplier
+    lam_raw = outcome.dual_witness_y[1:]  # drop the homogenizing row's multiplier
     total = lam_raw.sum()
     if total <= tol.strict:
         raise NumericalBreakdownError("strict dual witness has empty weight block")
     lam = lam_raw / total
-    mu = (dual_mu_raw / total) if with_active else None
+    mu = (outcome.dual_witness_z / total) if with_active else None
     certificate = DualCertificate(lam=lam, mu=mu, violation=float(lam @ delta))
     if certificate.violation > 0:
         # a kernel margin under the pivot tolerance reads as the dual branch;
@@ -418,29 +413,6 @@ def pair_certifier(kind: InvexityKind):
 
 
 @dataclass(frozen=True)
-class GridSampler:
-    step: float
-
-    def points(self, problem: Problem) -> np.ndarray:
-        return grid_points(problem, self.step)
-
-    def describe(self) -> str:
-        return f"grid(step={self.step:g})"
-
-
-@dataclass(frozen=True)
-class RandomSampler:
-    count: int
-    seed: int
-
-    def points(self, problem: Problem) -> np.ndarray:
-        return random_points(problem, self.count, self.seed)
-
-    def describe(self) -> str:
-        return f"random(count={self.count}, seed={self.seed})"
-
-
-@dataclass
 class DomainVerdict:
     """Outcome of sweeping one invexity kind over all sampled ordered pairs.
 
@@ -521,7 +493,8 @@ def _base_point_kernels(
 
 
 def _freeze(verdict: PairVerdict) -> PairVerdict:
-    """Make the verdict's arrays read-only so cached results cannot be altered."""
+    """Make the verdict's arrays read-only, so that a verdict shared through
+    an analysis cannot be altered."""
     arrays = [verdict.xbar, verdict.x]
     if verdict.kernel is not None:
         arrays.append(verdict.kernel.eta)
@@ -533,26 +506,14 @@ def _freeze(verdict: PairVerdict) -> PairVerdict:
     return verdict
 
 
-@lru_cache(maxsize=64)
-def _sample(
-    problem: Problem, sampler: GridSampler | RandomSampler, tol: ToleranceConfig
-) -> PointBatch:
-    """The sampler's points evaluated in one batch, shared by the four kinds."""
-    batch = evaluate_many(problem, sampler.points(problem), tol)
-    for array in vars(batch).values():
-        if isinstance(array, np.ndarray):
-            array.flags.writeable = False
-    return batch
-
-
-@lru_cache(maxsize=64)
 def _certify(
-    problem: Problem,
+    batch: PointBatch,
     kind: InvexityKind,
     sampler: GridSampler | RandomSampler,
     tol: ToleranceConfig,
 ) -> DomainVerdict:
-    batch = _sample(problem, sampler, tol)
+    """The sweep of one kind over the sampler's points, evaluated in ``batch``."""
+    problem = batch.problem
     rows = np.flatnonzero(batch.feasible) if kind.is_kt else np.arange(len(batch.x))
     if not rows.size:
         raise InfeasiblePointError(
@@ -611,6 +572,8 @@ def certify_domain(
     kind: InvexityKind,
     sampler: GridSampler | RandomSampler,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> DomainVerdict:
     """Decide one kind's invexity relation on every sampled ordered pair.
 
@@ -623,12 +586,17 @@ def certify_domain(
 
     KT kinds restrict to feasible sample points; strict kinds skip
     degenerate pairs. The non-KT kinds ignore constraints entirely, so the
-    problem is normalized to its unconstrained form first (this also lets
-    repeated runs share one cache entry).
+    problem is normalized to its unconstrained form first. Calls sharing
+    an ``analysis`` share the sampled points' evaluation, and return the
+    same verdict for the same kind and sampler.
     """
+    analysis = use_analysis(analysis, problem, tol)
     if not kind.is_kt:
-        problem = without_constraints(problem)
-    return _certify(problem, kind, sampler, tol)
+        problem = analysis.unconstrained
+    return analysis.result(
+        ("certify", problem, kind, sampler),
+        lambda: _certify(analysis.batch(problem, sampler), kind, sampler, tol),
+    )
 
 
 def validate_pair_verdict(
@@ -810,6 +778,8 @@ def _grade_stationary(
     points: tuple[StationaryPoint, ...],
     grid_step: float,
     tol: ToleranceConfig,
+    *,
+    analysis: Analysis | None = None,
 ) -> tuple[StationaryGlobality, ...]:
     """Every stationary point graded against the weighting problem of its λ."""
     if not points:
@@ -820,6 +790,7 @@ def _grade_stationary(
         np.array([sp.x for sp in points]),
         grid_step,
         tol,
+        analysis=analysis,
     )
     return tuple(
         StationaryGlobality(x=sp.x, lam=sp.multipliers.lam, verdict=verdict)
@@ -832,20 +803,27 @@ def theorem_crosscheck(
     grid_step: float,
     pair_step: float = 0.25,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> CrosscheckReport:
     """Confront stationary/weighting scans with pairwise kernel verdicts.
 
     The unconstrained reading (vector critical points, invex kinds) drops
     the constraints entirely; the KT reading keeps them. For each of the
     four kinds the stationary side L and the kernel side R must agree —
-    `CrosscheckReport.agreement` is the master flag CI keys off.
+    `CrosscheckReport.agreement` is the master flag CI keys off. With an
+    ``analysis``, the scans and sweeps that earlier stages computed in it
+    are reused.
     """
+    analysis = use_analysis(analysis, problem, tol)
     sampler = GridSampler(float(pair_step))
-    unconstrained = without_constraints(problem)
+    unconstrained = analysis.unconstrained
     critical = scan_critical_points(
-        unconstrained, grid_step, StationaryKind.VECTOR, tol
+        unconstrained, grid_step, StationaryKind.VECTOR, tol, analysis=analysis
     )
-    kt_points = scan_critical_points(problem, grid_step, StationaryKind.KT, tol)
+    kt_points = scan_critical_points(
+        problem, grid_step, StationaryKind.KT, tol, analysis=analysis
+    )
 
     checks = []
     graded = {}  # the strict and nonstrict kinds grade the same points
@@ -856,7 +834,9 @@ def theorem_crosscheck(
         (InvexityKind.STRICT_KT_INVEX, problem, kt_points),
     ):
         if kind.is_kt not in graded:
-            graded[kind.is_kt] = _grade_stationary(base, points, grid_step, tol)
+            graded[kind.is_kt] = _grade_stationary(
+                base, points, grid_step, tol, analysis=analysis
+            )
         # L side: every stationary point Global (strict: UniqueGlobal) for its λ
         l_failures = tuple(
             g
@@ -867,7 +847,7 @@ def theorem_crosscheck(
                 else g.verdict.is_global
             )
         )
-        domain = certify_domain(base, kind, sampler, tol)
+        domain = certify_domain(base, kind, sampler, tol, analysis=analysis)
         checks.append(
             TheoremCheck(
                 kind=kind,

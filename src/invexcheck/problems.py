@@ -239,6 +239,87 @@ def random_points(problem: Problem, count: int, seed: int) -> np.ndarray:
     return rng.uniform(lo, hi, size=(count, problem.dimension))
 
 
+@dataclass(frozen=True)
+class GridSampler:
+    step: float
+
+    def points(self, problem: Problem) -> np.ndarray:
+        return grid_points(problem, self.step)
+
+    def describe(self) -> str:
+        return f"grid(step={self.step:g})"
+
+
+@dataclass(frozen=True)
+class RandomSampler:
+    count: int
+    seed: int
+
+    def points(self, problem: Problem) -> np.ndarray:
+        return random_points(problem, self.count, self.seed)
+
+    def describe(self) -> str:
+        return f"random(count={self.count}, seed={self.seed})"
+
+
+class Analysis:
+    """The work one run shares between its stages, for one problem and tol.
+
+    It evaluates each point set once per problem variant (the problem and
+    its unconstrained form) into a read-only `PointBatch`, and keeps each
+    stage's result, so a stage asked twice returns the same object. The
+    library functions take one as the keyword ``analysis``; without it,
+    each call builds its own and shares nothing with other calls.
+    Instances compare and hash by identity.
+    """
+
+    def __init__(self, problem: Problem, tol: ToleranceConfig = DEFAULT_TOL):
+        self.problem = problem
+        self.tol = tol
+        self._batches: dict = {}
+        self._results: dict = {}
+
+    @cached_property
+    def unconstrained(self) -> Problem:
+        """The variant that the vector scan and the non-KT kinds read."""
+        return without_constraints(self.problem)
+
+    def batch(self, problem: Problem, sampler: GridSampler | RandomSampler) -> PointBatch:
+        """The sampler's points of ``problem`` (a variant), evaluated once."""
+        key = (problem, sampler)
+        if key not in self._batches:
+            batch = evaluate_many(problem, sampler.points(problem), self.tol)
+            for array in vars(batch).values():
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            self._batches[key] = batch
+        return self._batches[key]
+
+    def result(self, key: tuple, compute):
+        """The stage result stored under ``key``, from ``compute()`` on first use."""
+        if key not in self._results:
+            self._results[key] = compute()
+        return self._results[key]
+
+
+def use_analysis(
+    analysis: Analysis | None, problem: Problem, tol: ToleranceConfig
+) -> Analysis:
+    """``analysis``, or a new one when it is None, for a call on ``problem``.
+
+    Raises ValueError unless ``problem`` is the analysis's problem or its
+    unconstrained form, and ``tol`` is its tolerance.
+    """
+    if analysis is None:
+        return Analysis(problem, tol)
+    if problem not in (analysis.problem, analysis.unconstrained) or tol != analysis.tol:
+        raise ValueError(
+            f"the analysis of {analysis.problem.name!r} does not cover a call "
+            f"on {problem.name!r} at these tolerances"
+        )
+    return analysis
+
+
 def _fixture_table() -> dict[str, Problem]:
     ramp_sq = "piecewise(x > 1: (x - 1)^2; x < -1: (x + 1)^2; 0)"
     ramp_qt = "piecewise(x > 1: (x - 1)^4; x < -1: (x + 1)^4; 0)"

@@ -29,6 +29,7 @@ from .invexity import (
     validate_evaluated_pairs,
 )
 from .problems import (
+    Analysis,
     Problem,
     evaluate_many,
     problem_from_dict,
@@ -203,9 +204,14 @@ def build_report(
     seed: int = 42,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> dict:
-    """Run the full analysis pipeline and assemble the JSON-shaped report."""
+    """Run the full analysis pipeline and assemble the JSON-shaped report.
+
+    The stages share one `Analysis`, so each grid is evaluated once per
+    problem variant and the crosscheck reuses the scans and sweeps.
+    """
     if pair_sampler is None:
         pair_sampler = GridSampler(0.25)
+    analysis = Analysis(problem, tol)
     timings: dict[str, float] = {}
 
     def timed(label: str, fn):
@@ -216,20 +222,25 @@ def build_report(
 
     critical = timed(
         "critical_scan",
-        lambda: scan_critical_points(problem, grid_step, StationaryKind.VECTOR, tol),
+        lambda: scan_critical_points(
+            problem, grid_step, StationaryKind.VECTOR, tol, analysis=analysis
+        ),
     )
     kt_points = timed(
         "kt_scan",
-        lambda: scan_critical_points(problem, grid_step, StationaryKind.KT, tol),
+        lambda: scan_critical_points(
+            problem, grid_step, StationaryKind.KT, tol, analysis=analysis
+        ),
     )
     weakly = timed(
-        "weakly_efficient", lambda: weakly_efficient_scan(problem, grid_step, tol)
+        "weakly_efficient",
+        lambda: weakly_efficient_scan(problem, grid_step, tol, analysis=analysis),
     )
 
     def run_weightings():
         runs = []
         for w in simplex_weights(problem.n_objectives, lambda_grid_step):
-            sol = solve_weighting(problem, w, grid_step, tol)
+            sol = solve_weighting(problem, w, grid_step, tol, analysis=analysis)
             runs.append(
                 {
                     "lam": _vector(w.lam),
@@ -246,7 +257,7 @@ def build_report(
     def run_pairs():
         return {
             kind.value: domain_verdict_to_dict(
-                certify_domain(problem, kind, pair_sampler, tol)
+                certify_domain(problem, kind, pair_sampler, tol, analysis=analysis)
             )
             for kind in InvexityKind
         }
@@ -258,7 +269,9 @@ def build_report(
     )
     crosscheck = timed(
         "crosscheck",
-        lambda: theorem_crosscheck(problem, grid_step, pair_step, tol),
+        lambda: theorem_crosscheck(
+            problem, grid_step, pair_step, tol, analysis=analysis
+        ),
     )
 
     return {
@@ -448,7 +461,7 @@ def verify_report(report: dict) -> list[str]:
         return [f"embedded problem invalid: {exc}"]
     try:
         tol = tolerances_from_dict(report["config"]["tolerances"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return [f"tolerance block invalid: {exc}"]
 
     # keyed by whether the constraints count, as for the KT kinds

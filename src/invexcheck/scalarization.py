@@ -13,17 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .problems import (
+    Analysis,
+    GridSampler,
     InfeasiblePointError,
     Problem,
     as_point,
     evaluate_many,
-    grid_points,
+    use_analysis,
 )
 from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
@@ -80,29 +81,20 @@ def simplex_weights(n: int, step: float = 0.1) -> tuple[WeightVector, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class _GridEval:
-    nodes: np.ndarray       # (N, s)
-    values: np.ndarray      # (N, n)
-    feasible: np.ndarray    # (N,) bool
-
-
-@lru_cache(maxsize=64)
-def _grid_eval(problem: Problem, grid_step: float, tol: ToleranceConfig) -> _GridEval:
-    batch = evaluate_many(problem, grid_points(problem, grid_step), tol)
-    ge = _GridEval(nodes=batch.x, values=batch.objective_values, feasible=batch.feasible)
-    for array in (ge.nodes, ge.values, ge.feasible):
-        array.flags.writeable = False
-    return ge
-
-
-def _feasible_grid(problem: Problem, grid_step: float, tol: ToleranceConfig):
-    ge = _grid_eval(problem, float(grid_step), tol)
-    if not np.any(ge.feasible):
+def _feasible_grid(
+    problem: Problem,
+    grid_step: float,
+    tol: ToleranceConfig,
+    analysis: Analysis | None = None,
+):
+    """The feasible nodes of the grid and their objective values."""
+    analysis = use_analysis(analysis, problem, tol)
+    batch = analysis.batch(problem, GridSampler(float(grid_step)))
+    if not np.any(batch.feasible):
         raise EmptyFeasibleSetError(
             f"no feasible node on the step-{grid_step:g} grid of {problem.name!r}"
         )
-    return ge.nodes[ge.feasible], ge.values[ge.feasible]
+    return batch.x[batch.feasible], batch.objective_values[batch.feasible]
 
 
 def _worst(constraint_values: np.ndarray) -> np.ndarray:
@@ -196,6 +188,8 @@ def solve_weighting(
     w: WeightVector,
     grid_step: float,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> WeightingSolution:
     """Minimize w·f over the feasible grid, then polish each argmin node."""
     lam = w.array
@@ -203,7 +197,7 @@ def solve_weighting(
         raise DimensionMismatchError(
             f"weight has {lam.size} entries for {problem.n_objectives} objectives"
         )
-    nodes, values = _feasible_grid(problem, grid_step, tol)
+    nodes, values = _feasible_grid(problem, grid_step, tol, analysis)
     weighted = values @ lam
     best = float(weighted.min())
     tie = weighted <= best + tol.value_tie
@@ -263,6 +257,8 @@ def grade_weighting_solutions(
     points,
     grid_step: float,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> tuple[GlobalityVerdict, ...]:
     """`is_global_weighting_solution` for each weight and row of ``points``
     (shape (K, s)), with one batched evaluation of the candidates.
@@ -278,7 +274,7 @@ def grade_weighting_solutions(
             "candidate violates constraints by "
             f"{batch.constraint_values[infeasible[0]].max():.3e}"
         )
-    nodes, values = _feasible_grid(problem, grid_step, tol)
+    nodes, values = _feasible_grid(problem, grid_step, tol, analysis)
     weighted: dict[bytes, tuple[np.ndarray, int]] = {}
     verdicts = []
     for w, x, f in zip(weights, batch.x, batch.objective_values):
@@ -356,20 +352,16 @@ def _dominated(values: np.ndarray) -> np.ndarray:
     return dominated
 
 
-@lru_cache(maxsize=64)
-def _weakly_efficient(
-    problem: Problem, grid_step: float, tol: ToleranceConfig
+def weakly_efficient_scan(
+    problem: Problem,
+    grid_step: float,
+    tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> np.ndarray:
-    nodes, values = _feasible_grid(problem, grid_step, tol)
+    """Feasible grid nodes not strictly dominated by any feasible grid node
+    (a read-only array)."""
+    nodes, values = _feasible_grid(problem, grid_step, tol, analysis)
     kept = nodes[~_dominated(values)]
     kept.flags.writeable = False
     return kept
-
-
-def weakly_efficient_scan(
-    problem: Problem, grid_step: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> np.ndarray:
-    """Feasible grid nodes not strictly dominated by any feasible grid node."""
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    return _weakly_efficient(problem, float(grid_step), tol)

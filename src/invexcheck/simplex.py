@@ -8,7 +8,8 @@ The solver is deterministic: identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -51,6 +52,18 @@ class ToleranceConfig:
     value_tie: float = 1e-9
     max_pivots: int = 10_000
     degeneracy_streak: int = 10
+
+    def __post_init__(self) -> None:
+        # a NaN threshold makes every comparison false and so every check pass
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if not value >= 1:
+                    raise ValueError(f"{f.name} must be at least 1, got {value!r}")
+            elif not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance {f.name} must be finite and nonnegative, got {value!r}"
+                )
 
 
 DEFAULT_TOL = ToleranceConfig()

@@ -37,17 +37,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .problems import (
+    Analysis,
     EvaluatedPoint,
+    GridSampler,
     InfeasiblePointError,
+    PointBatch,
     Problem,
-    evaluate_many,
-    grid_points,
-    without_constraints,
+    use_analysis,
 )
 from .simplex import (
     DEFAULT_TOL,
@@ -259,14 +259,10 @@ def _ruled_out(jacobians: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
     )
 
 
-@lru_cache(maxsize=64)
 def _scan(
-    problem: Problem,
-    grid_step: float,
-    kind: StationaryKind,
-    tol: ToleranceConfig,
+    batch: PointBatch, kind: StationaryKind, tol: ToleranceConfig
 ) -> tuple[StationaryPoint, ...]:
-    batch = evaluate_many(problem, grid_points(problem, grid_step), tol)
+    """The stationary points of ``kind`` among the rows of a grid batch."""
     rows = np.arange(len(batch.x))
     if kind is StationaryKind.KT:
         rows = rows[batch.feasible]
@@ -277,7 +273,7 @@ def _scan(
     jacobians = batch.objective_jacobian[rows]
     inactive = ~batch.active[rows].any(axis=1)
     ruled_out = _ruled_out(jacobians, tol) & inactive
-    n = problem.n_objectives
+    n = batch.problem.n_objectives
     flat = inactive & (n <= 2) & ~jacobians.any(axis=(1, 2))
     found: list[StationaryPoint] = []
     for row, closed_form in zip(rows[~ruled_out], flat[~ruled_out]):
@@ -297,9 +293,9 @@ def _scan(
         else:
             mult = critical_multipliers(batch.point(row), tol)
         if mult is not None:
-            # cached and shared by every caller: hand out read-only arrays
+            # shared by every caller of one analysis: hand out read-only arrays
             mu = (mult.mu,) if kind is StationaryKind.KT else ()
-            for array in (x, mult.lam, *mu):
+            for array in (mult.lam, *mu):
                 array.flags.writeable = False
             found.append(StationaryPoint(x=x, kind=kind, multipliers=mult))
     return tuple(found)
@@ -310,15 +306,20 @@ def scan_critical_points(
     grid_step: float,
     kind: StationaryKind,
     tol: ToleranceConfig = DEFAULT_TOL,
+    *,
+    analysis: Analysis | None = None,
 ) -> tuple[StationaryPoint, ...]:
     """Every grid node (feasible, for the KT kind) with recoverable multipliers.
 
     The vector-critical scan ignores constraints by definition, so the
-    problem is normalized to its unconstrained form first; this also lets
-    callers with and without constraints share one cache entry.
+    problem is normalized to its unconstrained form first. Calls sharing
+    an ``analysis`` share its grid evaluation and return the same points.
     """
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
+    analysis = use_analysis(analysis, problem, tol)
     if kind is StationaryKind.VECTOR:
-        problem = without_constraints(problem)
-    return _scan(problem, float(grid_step), kind, tol)
+        problem = analysis.unconstrained
+    grid = GridSampler(float(grid_step))
+    return analysis.result(
+        ("scan", problem, grid, kind),
+        lambda: _scan(analysis.batch(problem, grid), kind, tol),
+    )

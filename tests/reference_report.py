@@ -208,7 +208,7 @@ def reference_verify_report(report: dict) -> list[str]:
         return [f"embedded problem invalid: {exc}"]
     try:
         tol = tolerances_from_dict(report["config"]["tolerances"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         return [f"tolerance block invalid: {exc}"]
 
     # keyed by whether the constraints count, as for the KT kinds

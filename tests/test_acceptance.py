@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import record_acceptance
 
-from invexcheck.alternative import gordan, motzkin, validate_gordan, validate_motzkin
+from invexcheck.alternative import motzkin, validate_motzkin
 from invexcheck.expressions import eval_value, eval_with_gradient
 from invexcheck.invexity import (
     GridSampler,
@@ -122,10 +122,10 @@ def test_criterion_2_alternative_exactly_one_branch():
     rng = np.random.default_rng(20260816)
     for i in range(1000):
         A = random_matrix(rng)
-        if i % 2 == 0:
-            out = gordan(A)
-            defects = validate_gordan(A, out)
-            one_branch = (out.primal_witness is None) != (out.dual_witness is None)
+        if i % 2 == 0:  # Gordan's theorem: no weak rows
+            out = motzkin(A)
+            defects = validate_motzkin(A, None, out)
+            one_branch = (out.primal_witness is None) != (out.dual_witness_y is None)
             other_infeasible = _gordan_other_branch_infeasible(A, out)
         else:
             B = rng.uniform(-5, 5, size=(int(rng.integers(1, 7)), A.shape[1]))

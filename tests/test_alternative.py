@@ -1,4 +1,5 @@
-"""Gordan/Motzkin deciders: hand oracles, exactly-one branch, witness replay."""
+"""The Motzkin decider, with and without weak rows (Gordan's theorem): hand
+oracles, exactly-one branch, witness replay."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,7 @@ from hypothesis import strategies as st
 
 from invexcheck.alternative import (
     AlternativeBranch,
-    gordan,
     motzkin,
-    validate_gordan,
     validate_motzkin,
 )
 from invexcheck.simplex import DimensionMismatchError
@@ -17,28 +16,29 @@ from lpgen import random_matrix
 
 
 def test_gordan_strictly_solvable():
-    out = gordan(np.array([[1.0]]))
+    out = motzkin(np.array([[1.0]]))
     assert out.branch is AlternativeBranch.PRIMAL
     assert out.primal_witness is not None
     assert float(np.array([1.0]) @ out.primal_witness) < 0
     assert out.strict_margin == pytest.approx(1.0)
-    assert out.dual_witness is None
+    assert out.dual_witness_y is None
 
 
 def test_gordan_dual_pair():
     # rows 1 and -1: no x with both x < 0 and -x < 0
-    out = gordan(np.array([[1.0], [-1.0]]))
+    out = motzkin(np.array([[1.0], [-1.0]]))
     assert out.branch is AlternativeBranch.DUAL
-    assert out.dual_witness == pytest.approx([0.5, 0.5])
+    assert out.dual_witness_y == pytest.approx([0.5, 0.5])
+    assert out.dual_witness_z.size == 0
     assert out.primal_witness is None
 
 
 def test_gordan_zero_row_forces_dual():
     # a zero row can never be strictly negative
     A = np.array([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
-    out = gordan(A)
+    out = motzkin(A)
     assert out.branch is AlternativeBranch.DUAL
-    y = out.dual_witness
+    y = out.dual_witness_y
     assert y is not None
     assert y.sum() == pytest.approx(1.0)
     assert np.max(np.abs(A.T @ y)) <= 1e-9
@@ -60,19 +60,20 @@ def test_motzkin_weak_rows_can_allow_or_block():
 
 
 def test_motzkin_without_weak_block_degrades_to_gordan():
+    # no B and an empty B pose the same Gordan system, with equal outcomes
     A = np.array([[2.0, -1.0], [0.0, 3.0]])
-    g = gordan(A)
-    m = motzkin(A, None)
-    assert g.branch is m.branch
-    m = motzkin(A, np.zeros((0, 2)))
-    assert g.branch is m.branch
+    g = motzkin(A)
+    for m in (motzkin(A, None), motzkin(A, np.zeros((0, 2)))):
+        assert g.branch is m.branch
+        assert g.strict_margin == m.strict_margin
+        assert np.array_equal(g.primal_witness, m.primal_witness)
 
 
 def test_scale_invariance_of_branch():
     rng = np.random.default_rng(55)
     for _ in range(50):
         A = random_matrix(rng)
-        assert gordan(A).branch is gordan(3.7 * A).branch
+        assert motzkin(A).branch is motzkin(3.7 * A).branch
 
 
 def test_random_instances_take_exactly_one_branch_and_replay():
@@ -81,9 +82,9 @@ def test_random_instances_take_exactly_one_branch_and_replay():
     for i in range(400):
         A = random_matrix(rng)
         if i % 2 == 0:
-            out = gordan(A)
-            assert validate_gordan(A, out) == []
-            one_sided = (out.primal_witness is None) != (out.dual_witness is None)
+            out = motzkin(A)
+            assert validate_motzkin(A, None, out) == []
+            one_sided = (out.primal_witness is None) != (out.dual_witness_y is None)
             assert one_sided
         else:
             B = rng.uniform(-5, 5, size=(int(rng.integers(1, 5)), A.shape[1]))
@@ -98,17 +99,17 @@ def test_random_instances_take_exactly_one_branch_and_replay():
 
 def test_validator_rejects_corrupted_witness():
     A = np.array([[1.0]])
-    out = gordan(A)
+    out = motzkin(A)
     assert out.branch is AlternativeBranch.PRIMAL
     out.primal_witness[0] = 1.0  # now A x > 0
-    assert validate_gordan(A, out) != []
+    assert validate_motzkin(A, None, out) != []
 
 
 def test_input_validation():
     with pytest.raises(DimensionMismatchError):
-        gordan(np.zeros((0, 2)))
+        motzkin(np.zeros((0, 2)))
     with pytest.raises(DimensionMismatchError):
-        gordan(np.array([1.0, 2.0]))  # 1-D
+        motzkin(np.array([1.0, 2.0]))  # 1-D
     with pytest.raises(DimensionMismatchError):
         motzkin(np.array([[1.0, 2.0]]), np.array([[1.0]]))  # column mismatch
 
@@ -122,5 +123,5 @@ def test_input_validation():
 def test_gordan_replays_for_any_shape(m, n, seed):
     rng = np.random.default_rng(seed)
     A = rng.uniform(-5, 5, size=(m, n))
-    out = gordan(A)
-    assert validate_gordan(A, out) == []
+    out = motzkin(A)
+    assert validate_motzkin(A, None, out) == []

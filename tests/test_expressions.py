@@ -143,6 +143,7 @@ def test_round_trip_hand_cases():
         "exp(ln(x)) * sin(x - 1)",
         PIECEWISE,
         "abs(x) - (x - 2) * (x + 2)",
+        "x + (0.1 + 0.2)",  # regrouped as (x + 0.1) + 0.2 it rounds differently
     ):
         expr = parse(text, X)
         again = parse(to_text(expr), X)

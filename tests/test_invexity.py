@@ -1,6 +1,6 @@
 """Pairwise invexity certificates, domain sweeps, theorem cross-checks."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,7 @@ from invexcheck.invexity import (
     validate_pair_verdict,
 )
 from invexcheck.problems import (
+    Analysis,
     InfeasiblePointError,
     Problem,
     evaluate,
@@ -45,7 +46,8 @@ from invexcheck.scalarization import (
     WeightVector,
     is_global_weighting_solution,
 )
-from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError
+from invexcheck.report import canonical_json, domain_verdict_to_dict
+from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, ToleranceConfig
 from invexcheck.stationarity import (
     CriticalMultipliers,
     StationaryKind,
@@ -63,6 +65,13 @@ SPLIT_INTERVAL = Problem(
     constraints=("1 - x^2",),
     box=((-3.0, 3.0),),
 )
+
+
+def same_domain_verdicts(a, b) -> bool:
+    """Equal sweeps: the same report bytes, every float to the last bit."""
+    return canonical_json(domain_verdict_to_dict(a)) == canonical_json(
+        domain_verdict_to_dict(b)
+    )
 
 
 def pair(name, xbar, x, kind):
@@ -211,9 +220,15 @@ def test_domain_sweep_restricts_kt_kinds_to_feasible_points():
 
 
 def test_domain_sweep_is_cached():
-    a = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.25))
-    b = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.25))
+    # the sweep is kept in the analysis its calls share, and only there
+    p = fixture("cube")
+    analysis = Analysis(p)
+    a = certify_domain(p, InvexityKind.INVEX, GridSampler(0.25), analysis=analysis)
+    b = certify_domain(p, InvexityKind.INVEX, GridSampler(0.25), analysis=analysis)
     assert a is b
+    c = certify_domain(p, InvexityKind.INVEX, GridSampler(0.25))
+    assert c is not a
+    assert same_domain_verdicts(a, c)
 
 
 def test_domain_sweep_results_are_read_only():
@@ -237,13 +252,12 @@ def test_domain_sweep_results_are_read_only():
 
 
 def test_random_sampler_is_deterministic():
-    dv1 = certify_domain(
-        fixture("convex-pair"), InvexityKind.INVEX, RandomSampler(30, seed=3)
-    )
-    dv2 = certify_domain(
-        fixture("convex-pair"), InvexityKind.INVEX, RandomSampler(30, seed=3)
-    )
-    assert dv1 is dv2
+    p, sampler = fixture("convex-pair"), RandomSampler(30, seed=3)
+    analysis = Analysis(p)
+    dv1 = certify_domain(p, InvexityKind.INVEX, sampler, analysis=analysis)
+    assert certify_domain(p, InvexityKind.INVEX, sampler, analysis=analysis) is dv1
+    dv2 = certify_domain(p, InvexityKind.INVEX, sampler)
+    assert same_domain_verdicts(dv1, dv2)
     assert dv1.all_pairs_kernel
     assert dv1.points_sampled == 30
 
@@ -528,9 +542,55 @@ def test_batched_grading_shares_weights_like_per_point_reference(problem, data):
 
 
 def test_certify_domain_returns_the_cached_object():
-    # the README promises this for certify_domain (not for theorem_crosscheck)
-    first = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5))
-    assert certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5)) is first
+    # the README promises this for calls sharing an analysis, and equal
+    # results (not the same object) for calls without one
+    p = fixture("cube")
+    analysis = Analysis(p)
+    first = certify_domain(p, InvexityKind.INVEX, GridSampler(0.5), analysis=analysis)
+    again = certify_domain(p, InvexityKind.INVEX, GridSampler(0.5), analysis=analysis)
+    assert again is first
+    fresh = certify_domain(p, InvexityKind.INVEX, GridSampler(0.5))
+    assert fresh is not first
+    assert same_domain_verdicts(fresh, first)
+
+
+def test_rebinding_a_verdict_cannot_change_later_results():
+    # rebinding fields of a returned verdict once made a later call in the
+    # same process report no failures, and the crosscheck disagree
+    dv = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5))
+    assert dv.failures
+    with pytest.raises(FrozenInstanceError):
+        dv.all_pairs_kernel = True
+    with pytest.raises(FrozenInstanceError):
+        dv.failures = ()
+    for obj, field in (
+        (dv.failures[0], "kernel"),
+        (dv.failures[0].certificate, "violation"),
+        (dv.kernels[0].kernel, "eta"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field, None)
+    again = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.5))
+    assert not again.all_pairs_kernel
+    assert same_domain_verdicts(again, dv)
+    assert theorem_crosscheck(fixture("cube"), 0.5, 0.5).agreement
+
+
+def test_analysis_must_fit_the_call():
+    p = fixture("two-var-convex")
+    analysis = Analysis(p)
+    # the unconstrained variant is covered, as the crosscheck's sweeps need
+    certify_domain(
+        without_constraints(p), InvexityKind.INVEX, GridSampler(2.0), analysis=analysis
+    )
+    with pytest.raises(ValueError, match="does not cover"):
+        certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(2.0), analysis=analysis)
+    with pytest.raises(ValueError, match="does not cover"):
+        theorem_crosscheck(p, 1.0, 2.0, ToleranceConfig(strict=1e-6), analysis=analysis)
+    with pytest.raises(ValueError, match="does not cover"):
+        certify_domain(
+            p, InvexityKind.KT_INVEX, GridSampler(2.0), analysis=Analysis(without_constraints(p))
+        )
 
 
 _WEIGHTS = st.sampled_from([0.0, 0.5, 1.0, -0.25, 1e-10]) | st.floats(-1, 2)

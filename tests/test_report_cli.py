@@ -741,6 +741,26 @@ def test_verify_report_flags_flipped_derived_flag(cube_report, path, value, frag
     assert any(fragment in d for d in defects), defects
 
 
+def test_verify_report_rejects_nan_tolerances(cube_report):
+    # NaN thresholds used to switch every check off, fake evidence included
+    wire = json.loads(canonical_json(cube_report))
+    wire["critical_points"] = [{"x": [0.75], "lam": [1.0], "residual": 0.0}]
+    tolerances = wire["config"]["tolerances"]
+    for name, value in tolerances.items():
+        if isinstance(value, float):
+            tolerances[name] = math.nan
+    defects = verify_report(wire)
+    assert len(defects) == 1 and defects[0].startswith("tolerance block invalid: ")
+
+
+def test_cli_rejects_a_nan_tolerance_up_front(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_report", None)  # never reached
+    code = run_cli("analyze", "cube", "--tol-stationary", "nan")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "tolerance stationary must be finite and nonnegative" in err
+
+
 def test_cli_tolerance_flags_are_threaded(capsys):
     code = run_cli("pair", "convex-pair", "--xbar", "1", "--x", "0",
                    "--kind", "invex", "--tol-strict", "1e-6")
@@ -760,19 +780,6 @@ def test_module_entry_point_runs():
 
 
 # -- batched evaluation guard --------------------------------------------------
-
-
-def _clear_stage_caches():
-    from invexcheck import invexity, scalarization, stationarity
-
-    for cached in (
-        stationarity._scan,
-        scalarization._grid_eval,
-        scalarization._weakly_efficient,
-        invexity._sample,
-        invexity._certify,
-    ):
-        cached.cache_clear()
 
 
 @pytest.fixture
@@ -820,9 +827,7 @@ def evaluation_log(monkeypatch):
         ("theorem_crosscheck", "crosscheck"),
     ):
         monkeypatch.setattr(report, name, staged(label, getattr(report, name)))
-    _clear_stage_caches()
-    yield log
-    _clear_stage_caches()
+    return log
 
 
 def test_build_report_evaluates_each_stage_in_one_batch(evaluation_log):
@@ -833,22 +838,26 @@ def test_build_report_evaluates_each_stage_in_one_batch(evaluation_log):
     per_stage = {}
     for stage, _, constrained, rows in evaluation_log:
         per_stage.setdefault((stage, constrained), []).append(rows)
-    # one batch per stage and problem variant; the weighting stage reuses
-    # the weakly-efficient scan's grid and polishes each weight's ties
+    # one grid batch per problem variant, made by the first stage that needs
+    # it: the weakly-efficient scan, the weighting runs, the pair sweeps
+    # (whose default grid has the same step) and the crosscheck reuse them
     assert per_stage.pop(("scan-vector", False)) == [grid]
     assert per_stage.pop(("scan-kt", True)) == [grid]
-    assert per_stage.pop(("weakly", True)) == [grid]
-    assert per_stage.pop(("pairs", False)) == [grid]
-    assert per_stage.pop(("pairs", True)) == [grid]
-    # the stationary points of each variant (5 on [0, 1] x {0}), and the
-    # unconstrained grid that their grades compare with
-    assert sorted(per_stage.pop(("crosscheck", False))) == [5, grid]
+    # the stationary points of each variant (5 on [0, 1] x {0}), graded
+    assert per_stage.pop(("crosscheck", False)) == [5]
     assert per_stage.pop(("crosscheck", True)) == [5]
     # each of the 11 weights has one grid minimizer, polished in 2 or 3
     # rounds of one batched evaluation each (27 in all)
     polish = per_stage.pop(("weighting", True))
     assert polish == [1] * len(polish) and len(polish) <= 3 * 11
     assert per_stage == {}
+
+
+def test_build_report_evaluates_an_unconstrained_grid_once(evaluation_log):
+    # paper-example-2.1 has no constraints: one problem variant, one batch
+    build_report(fixture("paper-example-2.1"), grid_step=0.25)
+    grids = [entry for entry in evaluation_log if entry[3] == 25]
+    assert grids == [("scan-vector", "evaluate_many", False, 25)]
 
 
 def test_polish_advances_tied_starts_together(evaluation_log):

@@ -16,6 +16,7 @@ from invexcheck.simplex import (
     FeasiblePoint,
     LpProblem,
     LpStatus,
+    ToleranceConfig,
     check_feasibility,
     solve_lp,
     validate_outcome,
@@ -126,6 +127,23 @@ def test_dimension_errors():
             row_kinds=(ROW_LE, ROW_LE),
             variable_bounds=(VAR_NONNEG,),
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("stationary", float("nan")),
+        ("strict", float("inf")),
+        ("feasibility", -1e-8),
+        ("max_pivots", 0),
+        ("max_pivots", float("nan")),
+        ("degeneracy_streak", 0),
+    ],
+)
+def test_tolerances_reject_values_that_switch_checks_off(field, value):
+    # a NaN threshold makes every comparison false, so every check passes
+    with pytest.raises(ValueError, match=field):
+        ToleranceConfig(**{field: value})
 
 
 def test_random_outcomes_validate():

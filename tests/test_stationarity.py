@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invexcheck.problems import (
+    Analysis,
     InfeasiblePointError,
     Problem,
     evaluate,
@@ -136,7 +137,8 @@ def test_scan_rejects_nonpositive_step():
 
 def test_scanned_points_are_read_only():
     p = fixture("convex-pair")
-    first = scan_critical_points(p, 0.25, StationaryKind.VECTOR)
+    analysis = Analysis(p)
+    first = scan_critical_points(p, 0.25, StationaryKind.VECTOR, analysis=analysis)
     original = [(sp.x.copy(), sp.multipliers.lam.copy()) for sp in first]
     with pytest.raises(ValueError):
         first[0].x[0] = 9.0
@@ -145,11 +147,16 @@ def test_scanned_points_are_read_only():
     kt = scan_critical_points(fixture("kt-linear-quad"), 0.25, StationaryKind.KT)
     with pytest.raises(ValueError):
         kt[0].multipliers.mu[:] = 1.0
-    again = scan_critical_points(p, 0.25, StationaryKind.VECTOR)
+    # calls sharing an analysis get the same points; other calls equal ones
+    again = scan_critical_points(p, 0.25, StationaryKind.VECTOR, analysis=analysis)
     assert again is first
-    for sp, (x, lam) in zip(again, original):
-        assert np.array_equal(sp.x, x)
-        assert np.array_equal(sp.multipliers.lam, lam)
+    fresh = scan_critical_points(p, 0.25, StationaryKind.VECTOR)
+    assert fresh is not first
+    for points in (again, fresh):
+        assert len(points) == len(original)
+        for sp, (x, lam) in zip(points, original):
+            assert np.array_equal(sp.x, x)
+            assert np.array_equal(sp.multipliers.lam, lam)
 
 
 def test_scanned_points_cannot_be_rebound():
@@ -376,9 +383,8 @@ def test_flat_nodes_solve_no_lp(monkeypatch):
 
     monkeypatch.setattr(stationarity, "solve_lp", counting_solve_lp)
     p = fixture("paper-example-2.1")
-    scan = stationarity._scan.__wrapped__  # bypass the cache
-    critical = scan(without_constraints(p), 1 / 128, StationaryKind.VECTOR, DEFAULT_TOL)
-    kt = scan(p, 1 / 128, StationaryKind.KT, DEFAULT_TOL)
+    critical = scan_critical_points(p, 1 / 128, StationaryKind.VECTOR)
+    kt = scan_critical_points(p, 1 / 128, StationaryKind.KT)
     assert len(critical) == len(kt) == 257
     assert len(calls) <= 10
     for sp in critical + kt:
