@@ -10,21 +10,23 @@ kernel vector η and returns exactly one of
   exists, which simultaneously exhibit the pair's base point as a stationary
   point that fails to be a global weighting minimizer.
 
-The four kinds differ only in which rows enter the system: nonstrict kinds
-ask for componentwise ``Jf(x̄)·η ≤ f(x) − f(x̄)`` (plus ``Jg_I(x̄)·η ≤ 0`` on
-the active constraints for the KT kinds); strict kinds require strict
-objective rows and are decided through the Gordan/Motzkin alternative on a
-homogenized matrix, whose primal witness (ζ, ξ) with ξ < 0 rescales to the
-kernel η = −ζ/ξ.
+Nonstrict kinds ask for componentwise ``Jf(x̄)·η ≤ f(x) − f(x̄)`` (plus
+``Jg_A(x̄)·η ≤ 0`` on the active constraints for the KT kinds); strict kinds
+require strict objective rows. Every kind is settled by one LP, the minimum
+v* of λ·(f(x) − f(x̄)) over the multiplier set Λ(x̄) = {λ ≧ 0, Σλ = 1,
+μ ≧ 0 : λᵀJf(x̄) + μᵀJg_A(x̄) = 0} (μ only for the KT kinds). By LP duality
+a kernel exists exactly when v* > 0 (strict kinds) or v* ≧ 0 (nonstrict
+kinds, read as v* ≧ −tol.strict), and the LP's dual is one; otherwise its
+optimal (λ, μ) is the certificate (Craven & Glover 1985, and the paper's
+Theorems 2.4 and 3.6).
 
-`certify_domain` sweeps every ordered pair of a sampler's point set, but
-decides each base point x̄ once against all points x: one substitution pass
-tries the cheap kernels η = 0 and η = x − x̄ on every pair; if pairs remain,
+Most pairs never reach the LP. For each base point x̄ one substitution pass
+tries the kernels η = 0 (nonstrict kinds) and η = x − x̄; if pairs remain,
 one Gordan/Motzkin decision on Jf(x̄) either yields a descent direction that
-scales into a kernel for all of them or shows x̄ (KT-)stationary. A pair can
-fail only at a stationary base point (Craven & Glover 1985), so only the
-pairs still open there go to the single-pair certifier, whose verdicts are
-reported unchanged.
+scales into a kernel for all of them or shows x̄ (KT-)stationary.
+`certify_domain` runs these passes once per x̄ against all sampled x, and
+the single-pair certifiers on their one pair; either way only the pairs
+still open solve the LP, so a pair gets the same verdict from both.
 
 `theorem_crosscheck` confronts the sampled verdicts with the stationarity
 and weighting scans: stationary-points-are-global must agree with
@@ -60,21 +62,17 @@ from .scalarization import (
 )
 from .simplex import (
     DEFAULT_TOL,
-    ROW_EQ,
-    ROW_LE,
-    VAR_FREE,
-    VAR_NONNEG,
-    FarkasCertificate,
-    FeasiblePoint,
-    LpOutcome,
-    LpProblem,
     LpStatus,
     NumericalBreakdownError,
     ToleranceConfig,
-    check_feasibility,
     solve_lp,
 )
-from .stationarity import StationaryKind, StationaryPoint, scan_critical_points
+from .stationarity import (
+    StationaryKind,
+    StationaryPoint,
+    multiplier_lp,
+    scan_critical_points,
+)
 
 #: Pairs closer than this are rejected by the strict certifiers.
 DEGENERATE_PAIR_RADIUS = 1e-9
@@ -113,9 +111,11 @@ class KernelWitness:
 class DualCertificate:
     """Multipliers proving no kernel exists for one pair.
 
-    λ is normalized to sum to one; μ (KT kinds) carries the active-set
-    multipliers on the same scale. `violation` is λ·(f(x) − f(x̄)): strictly
-    negative for the nonstrict kinds, nonpositive for the strict kinds.
+    (λ, μ) is the optimum of min λ·(f(x) − f(x̄)) over the multiplier set
+    Λ(x̄), so x̄ is (KT-)stationary with these multipliers. λ is normalized to
+    sum to one; μ (KT kinds) carries the active-set multipliers on the same
+    scale. `violation` is that minimum λ·(f(x) − f(x̄)): below −tol.strict
+    for the nonstrict kinds, nonpositive for the strict kinds.
     """
 
     lam: np.ndarray
@@ -141,263 +141,102 @@ def _require_shared_problem(pbar: EvaluatedPoint, p: EvaluatedPoint) -> None:
         raise ValueError("both points must come from the same problem")
 
 
-def _base_rows(pbar: EvaluatedPoint, p: EvaluatedPoint, with_active: bool):
-    """Objective rows Jf(x̄)·η ≤ Δf, optionally plus active rows Jg_I(x̄)·η ≤ 0."""
-    jac = pbar.objective_jacobian
-    delta = p.objective_values - pbar.objective_values
-    if not with_active:
-        return jac, delta
-    jac_active = pbar.active_jacobian
-    matrix = np.vstack([jac, jac_active])
-    rhs = np.concatenate([delta, np.zeros(jac_active.shape[0])])
-    return matrix, rhs
+def _weighted_change(
+    pbar: EvaluatedPoint,
+    p: EvaluatedPoint,
+    kind: InvexityKind,
+    tol: ToleranceConfig,
+) -> PairVerdict:
+    """Decide the pair (x̄, x) by min λ·Δf over Λ(x̄), Δf = f(x) − f(x̄).
 
-
-def _kernel_margin(pbar: EvaluatedPoint, p: EvaluatedPoint, eta: np.ndarray) -> float:
-    slack = (p.objective_values - pbar.objective_values) - pbar.objective_jacobian @ eta
-    return max(0.0, float(slack.min()))
-
-
-def _candidate_ok(
-    matrix: np.ndarray, rhs: np.ndarray, eta: np.ndarray
-) -> bool:
-    return bool(np.all(matrix @ eta <= rhs))
-
-
-def _weighted_change_lp(
-    pbar: EvaluatedPoint, delta: np.ndarray, with_active: bool, tol: ToleranceConfig
-) -> LpOutcome:
-    """Solve min λ·Δf over Λ(x̄) = {λ ≧ 0, Σλ = 1, μ ≧ 0 : λᵀJf + μᵀJg_A = 0}.
-
-    Variables are (λ, μ). The dual values (y, w) of the optimum satisfy
-    Jf·y + w ≦ Δf and Jg_A·y ≦ 0 with w equal to the optimum, so a positive
-    optimum makes y a kernel with margin w.
+    The dual values (y, w) of the optimum v* satisfy Jf·y + w ≦ Δf and
+    Jg_A·y ≦ 0 (KT kinds) with w = v*. So y is a kernel with margin
+    max(v*, 0) when v* > 0 (strict kinds) or v* ≧ −tol.strict (nonstrict
+    kinds, the slack `verify` allows a kernel). Otherwise the optimal
+    (λ, μ), scaled so that Σλ = 1, is a certificate with violation λ·Δf = v*.
     """
     n, s = pbar.objective_jacobian.shape
-    jac_active = pbar.active_jacobian if with_active else np.zeros((0, s))
-    r = jac_active.shape[0]
-    eq = np.zeros((s + 1, n + r))
-    eq[:s, :n] = pbar.objective_jacobian.T
-    eq[:s, n:] = jac_active.T
-    eq[s, :n] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    lp = LpProblem(
-        objective=np.concatenate([delta, np.zeros(r)]),
-        constraint_matrix=eq,
-        rhs=rhs,
-        row_kinds=(ROW_EQ,) * (s + 1),
-        variable_bounds=(VAR_NONNEG,) * (n + r),
+    r = len(pbar.active_indices) if kind.is_kt else 0
+    delta = p.objective_values - pbar.objective_values
+    outcome = solve_lp(
+        multiplier_lp(pbar, kind.is_kt, np.concatenate([delta, np.zeros(r)])), tol
     )
-    return solve_lp(lp, tol)
-
-
-def _certificate_cleanup(
-    outcome: LpOutcome,
-    delta: np.ndarray,
-    with_active: bool,
-    fallback: DualCertificate,
-    tol: ToleranceConfig,
-) -> DualCertificate:
-    """Canonicalize a failure certificate by minimizing λ·Δf over all valid ones.
-
-    `outcome` is `_weighted_change_lp`'s solution. The minimum is the most
-    violated weighting gap the pair admits, making the reported certificate
-    deterministic and maximally informative; if the cleanup LP stumbles
-    numerically the Farkas-derived fallback is returned.
-    """
     if outcome.status is not LpStatus.OPTIMAL:
-        return fallback
-    n = delta.size
+        raise NumericalBreakdownError(
+            f"weighted-change LP over the multiplier set ended {outcome.status.value}"
+        )
+    value = float(outcome.objective_value)
+    holds = value > 0 if kind.is_strict else value >= -tol.strict
+    if holds:
+        kernel = KernelWitness(eta=outcome.dual_values[:s], margin=max(value, 0.0))
+        return PairVerdict(kind=kind, xbar=pbar.x, x=p.x, kernel=kernel, certificate=None)
     lam = np.clip(outcome.primal_solution[:n], 0.0, None)
     mu = np.clip(outcome.primal_solution[n:], 0.0, None)
     total = lam.sum()
-    if total <= tol.strict:
-        return fallback
+    if not total > tol.strict:
+        raise NumericalBreakdownError("weighted-change LP returned an empty weight block")
     lam /= total
-    mu /= total
-    return DualCertificate(
-        lam=lam,
-        mu=mu if with_active else None,
-        violation=float(lam @ delta),
+    certificate = DualCertificate(
+        lam=lam, mu=mu / total if kind.is_kt else None, violation=float(lam @ delta)
     )
+    return PairVerdict(kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate)
 
 
-def _weak_pair(
+def _pair(
     pbar: EvaluatedPoint,
     p: EvaluatedPoint,
     kind: InvexityKind,
     tol: ToleranceConfig,
 ) -> PairVerdict:
-    """Shared engine for the two nonstrict kinds."""
+    """One pair, decided as a sweep decides it: substitution, then the LP."""
     _require_shared_problem(pbar, p)
-    with_active = kind.is_kt
-    if with_active:
+    if kind.is_strict:
+        gap = float(np.linalg.norm(p.x - pbar.x))
+        if gap <= DEGENERATE_PAIR_RADIUS:
+            raise DegeneratePairError(
+                f"strict comparison needs distinct points (distance {gap:.3e})"
+            )
+    if kind.is_kt:
         for ep, label in ((pbar, "base point"), (p, "comparison point")):
             if not ep.feasible:
                 raise InfeasiblePointError(
                     f"{label} violates constraints by {ep.constraint_values.max():.3e}"
                 )
-    matrix, rhs = _base_rows(pbar, p, with_active)
-    delta = p.objective_values - pbar.objective_values
-
-    for eta in (np.zeros_like(pbar.x), p.x - pbar.x):
-        if _candidate_ok(matrix, rhs, eta):
-            return PairVerdict(
-                kind=kind,
-                xbar=pbar.x,
-                x=p.x,
-                kernel=KernelWitness(eta=eta, margin=_kernel_margin(pbar, p, eta)),
-                certificate=None,
-            )
-
-    result = check_feasibility(
-        matrix,
-        rhs,
-        row_kinds=(ROW_LE,) * matrix.shape[0],
-        variable_bounds=(VAR_FREE,) * matrix.shape[1],
-        tol=tol,
+    unresolved, etas, margins = _base_point_kernels(
+        pbar, p.x[None], p.objective_values[None], np.ones(1, dtype=bool), kind, tol
     )
-    if isinstance(result, FeasiblePoint):
-        eta = result.point
-        return PairVerdict(
-            kind=kind,
-            xbar=pbar.x,
-            x=p.x,
-            kernel=KernelWitness(eta=eta, margin=_kernel_margin(pbar, p, eta)),
-            certificate=None,
-        )
-    assert isinstance(result, FarkasCertificate)
-    y = np.clip(result.y, 0.0, None)
-    n = pbar.objective_jacobian.shape[0]
-    lam_raw, mu_raw = y[:n], y[n:]
-    total = lam_raw.sum()
-    if total <= tol.strict:
-        raise NumericalBreakdownError("infeasibility certificate has empty weight block")
-    fallback = DualCertificate(
-        lam=lam_raw / total,
-        mu=(mu_raw / total) if with_active else None,
-        violation=float((lam_raw / total) @ delta),
-    )
-    certificate = _certificate_cleanup(
-        _weighted_change_lp(pbar, delta, with_active, tol),
-        delta,
-        with_active,
-        fallback,
-        tol,
-    )
-    return PairVerdict(
-        kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate
-    )
-
-
-def _strict_pair(
-    pbar: EvaluatedPoint,
-    p: EvaluatedPoint,
-    kind: InvexityKind,
-    tol: ToleranceConfig,
-) -> PairVerdict:
-    """Shared engine for the two strict kinds, via Gordan/Motzkin."""
-    _require_shared_problem(pbar, p)
-    gap = float(np.linalg.norm(p.x - pbar.x))
-    if gap <= DEGENERATE_PAIR_RADIUS:
-        raise DegeneratePairError(
-            f"strict comparison needs distinct points (distance {gap:.3e})"
-        )
-    with_active = kind.is_kt
-    if with_active:
-        for ep, label in ((pbar, "base point"), (p, "comparison point")):
-            if not ep.feasible:
-                raise InfeasiblePointError(
-                    f"{label} violates constraints by {ep.constraint_values.max():.3e}"
-                )
-    n, s = pbar.objective_jacobian.shape
-    delta = p.objective_values - pbar.objective_values
-    # homogenized strict block: a solution (ζ, ξ) has ξ < 0 by its first row
-    strict_block = np.zeros((n + 1, s + 1))
-    strict_block[0, s] = 1.0
-    strict_block[1:, :s] = pbar.objective_jacobian
-    strict_block[1:, s] = delta
-
-    weak_block = None
-    if with_active:
-        jac_active = pbar.active_jacobian
-        weak_block = np.hstack([jac_active, np.zeros((jac_active.shape[0], 1))])
-    outcome = motzkin(strict_block, weak_block, tol)
-
-    if outcome.primal_holds:
-        zeta, xi = outcome.primal_witness[:s], float(outcome.primal_witness[s])
-        # first strict row forces ξ ≤ −margin < 0
-        eta = -zeta / xi
-        margin = outcome.strict_margin / abs(xi)
-        return PairVerdict(
-            kind=kind,
-            xbar=pbar.x,
-            x=p.x,
-            kernel=KernelWitness(eta=eta, margin=margin),
-            certificate=None,
-        )
-
-    lam_raw = outcome.dual_witness_y[1:]  # drop the homogenizing row's multiplier
-    total = lam_raw.sum()
-    if total <= tol.strict:
-        raise NumericalBreakdownError("strict dual witness has empty weight block")
-    lam = lam_raw / total
-    mu = (outcome.dual_witness_z / total) if with_active else None
-    certificate = DualCertificate(lam=lam, mu=mu, violation=float(lam @ delta))
-    if certificate.violation > 0:
-        # a kernel margin under the pivot tolerance reads as the dual branch;
-        # min λ·Δf over Λ(x̄) either refutes with a nonpositive value or is
-        # that margin, with the kernel as its dual solution
-        cleanup = _weighted_change_lp(pbar, delta, with_active, tol)
-        if (
-            cleanup.status is LpStatus.OPTIMAL
-            and float(cleanup.objective_value) > 0
-        ):
-            return PairVerdict(
-                kind=kind,
-                xbar=pbar.x,
-                x=p.x,
-                kernel=KernelWitness(
-                    eta=cleanup.dual_values[:s],
-                    margin=float(cleanup.objective_value),
-                ),
-                certificate=None,
-            )
-        certificate = _certificate_cleanup(
-            cleanup, delta, with_active, certificate, tol
-        )
-    return PairVerdict(
-        kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate
-    )
+    if unresolved[0]:
+        return _weighted_change(pbar, p, kind, tol)
+    kernel = KernelWitness(eta=etas[0], margin=float(margins[0]))
+    return PairVerdict(kind=kind, xbar=pbar.x, x=p.x, kernel=kernel, certificate=None)
 
 
 def invex_pair(
     pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PairVerdict:
     """Kernel or certificate for ``f(x) − f(x̄) ≧ Jf(x̄)·η``."""
-    return _weak_pair(pbar, p, InvexityKind.INVEX, tol)
+    return _pair(pbar, p, InvexityKind.INVEX, tol)
 
 
 def kt_invex_pair(
     pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PairVerdict:
-    """Invexity rows plus ``Jg_I(x̄)·η ≤ 0``; both points must be feasible."""
-    return _weak_pair(pbar, p, InvexityKind.KT_INVEX, tol)
+    """Invexity rows plus ``Jg_A(x̄)·η ≤ 0``; both points must be feasible."""
+    return _pair(pbar, p, InvexityKind.KT_INVEX, tol)
 
 
 def strict_invex_pair(
     pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PairVerdict:
-    """Strict componentwise version, decided by Gordan's alternative."""
-    return _strict_pair(pbar, p, InvexityKind.STRICT_INVEX, tol)
+    """Strict componentwise version: ``f(x) − f(x̄) > Jf(x̄)·η``."""
+    return _pair(pbar, p, InvexityKind.STRICT_INVEX, tol)
 
 
 def strict_kt_invex_pair(
     pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PairVerdict:
-    """Strict objective rows plus weak active rows, via Motzkin's alternative."""
-    return _strict_pair(pbar, p, InvexityKind.STRICT_KT_INVEX, tol)
+    """Strict objective rows plus ``Jg_A(x̄)·η ≤ 0``; both points must be feasible."""
+    return _pair(pbar, p, InvexityKind.STRICT_KT_INVEX, tol)
 
 
 _PAIR_CERTIFIERS = {
@@ -443,17 +282,21 @@ def _base_point_kernels(
 
     `pending` masks the rows of `points` to decide. Candidates are tried in
     turn on every still-open pair: η = 0 (nonstrict kinds only), then
-    η = x − x̄, as `_weak_pair` does. When pairs remain open, one
-    Gordan/Motzkin decision on Jf(x̄) (and Jg_A(x̄)) either gives a descent
-    direction d with Jf·d < 0 and Jg_A·d ≦ 0, so that η = t·d with
+    η = x − x̄. When pairs remain open, one Gordan/Motzkin decision on
+    Jf(x̄) (and Jg_A(x̄)) either gives a descent direction d with
+    Jf·d < 0 and Jg_A·d ≦ 0, so that η = t·d with
     t = max(0, maxᵢ (1 − Δfᵢ) / (−Jfᵢ·d)) leaves every objective slack at
     least 1, or shows x̄ stationary. A candidate counts only where it passes
     the substitution: every active row Jg_A·η ≦ 0, and objective slack
-    Δf − Jf·η ≧ 0 (nonstrict) or above `tol.strict` (strict kinds).
+    Δf − Jf·η ≧ 0 (nonstrict) or above `tol.strict` (strict kinds). Only
+    t·d may leave Jg_A·η up to `tol.strict`, as `verify` allows: rounding
+    can lift it a few ulps above 0, and it exists only at a non-stationary
+    x̄, where no certificate can exist. At a stationary x̄ that slack,
+    scaled by an unbounded μ, could hide a real failure.
 
     Returns (unresolved, etas, margins) over the rows of `points`: the
-    pending pairs that still need the single-pair certifier, and the kernel
-    and its margin for every other pending pair.
+    pending pairs that still need `_weighted_change`, and the kernel and its
+    margin for every other pending pair.
     """
     jac = pbar.objective_jacobian
     jac_active = pbar.active_jacobian if kind.is_kt else np.zeros((0, jac.shape[1]))
@@ -462,14 +305,14 @@ def _base_point_kernels(
     etas = np.zeros_like(points)
     margins = np.zeros(len(points))
 
-    def substitute(candidates: np.ndarray) -> None:
+    def substitute(candidates: np.ndarray, active_slack: float = 0.0) -> None:
         products = candidates @ jac.T
         slack = np.min(delta - products, axis=1)
         if kind.is_strict:
             ok = slack > tol.strict
         else:
             ok = np.all(products <= delta, axis=1)
-        ok &= np.all(candidates @ jac_active.T <= 0.0, axis=1) & unresolved
+        ok &= np.all(candidates @ jac_active.T <= active_slack, axis=1) & unresolved
         unresolved[ok] = False
         etas[ok] = candidates[ok]
         margins[ok] = np.maximum(slack[ok], 0.0)
@@ -488,7 +331,7 @@ def _base_point_kernels(
         descent = -(jac @ d)
         if np.all(descent > 0):
             t = np.maximum(np.max((1.0 - delta) / descent, axis=1), 0.0)
-            substitute(t[:, None] * d)
+            substitute(t[:, None] * d, tol.strict)
     return unresolved, etas, margins
 
 
@@ -522,7 +365,6 @@ def _certify(
     evaluated = [batch.point(row) for row in rows]
     points = batch.x[rows]
     values = batch.objective_values[rows]
-    certify = pair_certifier(kind)
     failures: list[PairVerdict] = []
     kernels: list[PairVerdict] = []
     checked = 0
@@ -537,7 +379,7 @@ def _certify(
         )
         decided = {}
         for j in np.flatnonzero(unresolved):
-            verdict = certify(pbar, evaluated[j], tol)
+            verdict = _weighted_change(pbar, evaluated[j], kind, tol)
             decided[int(j)] = verdict
             if not verdict.holds:
                 failures.append(_freeze(verdict))
@@ -578,11 +420,13 @@ def certify_domain(
     """Decide one kind's invexity relation on every sampled ordered pair.
 
     Each base point x̄ is decided once against all sampled points: kernels
-    that one pass verifies by substitution settle most pairs, and the
-    single-pair certifier runs only on pairs left open at (KT-)stationary
-    base points, so failures carry exactly its certificates. Kernel samples
-    may carry a different (equally replayable) η than the single-pair
-    certifier returns. The returned verdicts are read-only.
+    that one pass verifies by substitution settle most pairs, and only the
+    pairs left open at (KT-)stationary base points solve the weighted-change
+    LP. Every verdict, kernel or certificate, is the one the single-pair
+    certifier returns for that pair, except that a kernel's margin may
+    differ in its last bits: the sweep forms Jf(x̄)·η for all pairs of a
+    base point in one matrix product, which rounds otherwise than one row.
+    The returned verdicts are read-only.
 
     KT kinds restrict to feasible sample points; strict kinds skip
     degenerate pairs. The non-KT kinds ignore constraints entirely, so the

@@ -92,32 +92,54 @@ class StationaryPoint:
     multipliers: CriticalMultipliers | KtMultipliers
 
 
-def _min_max_weight(
-    eq_matrix: np.ndarray,
-    eq_rhs: np.ndarray,
-    n: int,
-    extra_le: tuple[np.ndarray, float] | None,
-    tol: ToleranceConfig,
-) -> np.ndarray | None:
-    """Minimize max λ_i over {eq_matrix·v = eq_rhs, v ≧ 0}, v = (λ, μ...).
+def multiplier_lp(
+    ep: EvaluatedPoint, with_active: bool, objective: np.ndarray | None = None
+) -> LpProblem:
+    """min objective·v over Λ(x) = {λ ≧ 0, Σλ = 1, μ ≧ 0 : λᵀJf + μᵀJg_A = 0}.
 
-    Appends a fresh variable t with rows λ_i − t ≤ 0 and objective t; the
-    optional extra ≤-row pins a previous stage's optimum. Returns the full
-    variable vector v (without t), or None when infeasible.
+    Variables are v = (λ, μ), with μ on the active constraints when
+    ``with_active`` and empty otherwise; the objective defaults to zero.
     """
-    rows_eq, cols = eq_matrix.shape
-    extra = 1 if extra_le is not None else 0
+    n, s = ep.objective_jacobian.shape
+    jac_active = ep.active_jacobian if with_active else np.zeros((0, s))
+    r = jac_active.shape[0]
+    eq = np.zeros((s + 1, n + r))
+    eq[:s, :n] = ep.objective_jacobian.T
+    eq[:s, n:] = jac_active.T
+    eq[s, :n] = 1.0
+    rhs = np.zeros(s + 1)
+    rhs[s] = 1.0
+    return LpProblem(
+        objective=np.zeros(n + r) if objective is None else objective,
+        constraint_matrix=eq,
+        rhs=rhs,
+        row_kinds=(ROW_EQ,) * (s + 1),
+        variable_bounds=(VAR_NONNEG,) * (n + r),
+    )
+
+
+def _min_max_weight(
+    system: LpProblem, n: int, pin: float | None, tol: ToleranceConfig
+) -> np.ndarray | None:
+    """Minimize max λ_i over ``system``'s rows, v = (λ, μ...) ≧ 0.
+
+    Appends a fresh variable t with rows λ_i − t ≤ 0 and objective t; a
+    ``pin`` adds the row objective·v ≤ pin, holding a previous stage's
+    optimum. Returns the full variable vector v (without t), or None when
+    infeasible.
+    """
+    rows_eq, cols = system.constraint_matrix.shape
+    extra = 1 if pin is not None else 0
     total_rows = rows_eq + extra + n
     matrix = np.zeros((total_rows, cols + 1))
     rhs = np.zeros(total_rows)
-    matrix[:rows_eq, :cols] = eq_matrix
-    rhs[:rows_eq] = eq_rhs
+    matrix[:rows_eq, :cols] = system.constraint_matrix
+    rhs[:rows_eq] = system.rhs
     kinds = [ROW_EQ] * rows_eq
     at = rows_eq
-    if extra_le is not None:
-        coeffs, bound = extra_le
-        matrix[at, :cols] = coeffs
-        rhs[at] = bound
+    if pin is not None:
+        matrix[at, :cols] = system.objective
+        rhs[at] = pin
         kinds.append(ROW_LE)
         at += 1
     for i in range(n):
@@ -143,26 +165,40 @@ def _min_max_weight(
     return outcome.primal_solution[:cols]
 
 
+def _canonical_weights(
+    v: np.ndarray, ep: EvaluatedPoint, with_active: bool, tol: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(λ, μ, residual) from an LP solution v = (λ, μ): both clipped to ≧ 0,
+    λ scaled to sum to one, and the stationarity residual checked.
+
+    The check also rejects a NaN residual, which a λ block that the LP
+    returned all zero leaves after the division.
+    """
+    n = ep.objective_jacobian.shape[0]
+    lam = np.clip(v[:n], 0.0, None)
+    mu = np.clip(v[n:], 0.0, None)
+    with np.errstate(invalid="ignore"):
+        lam /= lam.sum()
+    combination = lam @ ep.objective_jacobian
+    if with_active:
+        combination = combination + mu @ ep.active_jacobian
+    residual = float(np.max(np.abs(combination)))
+    if not residual <= tol.stationary:
+        raise NumericalBreakdownError(
+            f"{'KT' if with_active else 'critical'} multiplier residual {residual:.3e} exceeds tolerance"
+        )
+    return lam, mu, residual
+
+
 def critical_multipliers(
     ep: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
 ) -> CriticalMultipliers | None:
     """Recover weights proving ``ep`` vector critical, or None."""
-    n, s = ep.objective_jacobian.shape
-    eq = np.zeros((s + 1, n))
-    eq[:s] = ep.objective_jacobian.T
-    eq[s] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    v = _min_max_weight(eq, rhs, n, None, tol)
+    n = ep.objective_jacobian.shape[0]
+    v = _min_max_weight(multiplier_lp(ep, False), n, None, tol)
     if v is None:
         return None
-    lam = np.clip(v[:n], 0.0, None)
-    lam /= lam.sum()
-    residual = float(np.max(np.abs(lam @ ep.objective_jacobian)))
-    if residual > tol.stationary:
-        raise NumericalBreakdownError(
-            f"critical multiplier residual {residual:.3e} exceeds tolerance"
-        )
+    lam, _, residual = _canonical_weights(v, ep, False, tol)
     return CriticalMultipliers(lam=lam, residual=residual)
 
 
@@ -178,46 +214,24 @@ def kt_multipliers(
         raise InfeasiblePointError(
             f"KT multipliers need a feasible point; max g = {ep.constraint_values.max():.3e}"
         )
-    n, s = ep.objective_jacobian.shape
-    jac_active = ep.active_jacobian
-    r = jac_active.shape[0]
+    n = ep.objective_jacobian.shape[0]
+    r = len(ep.active_indices)
     # stage 1: minimize total constraint multiplier subject to stationarity
-    eq = np.zeros((s + 1, n + r))
-    eq[:s, :n] = ep.objective_jacobian.T
-    eq[:s, n:] = jac_active.T
-    eq[s, :n] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
-    objective = np.concatenate([np.zeros(n), np.ones(r)])
-    lp = LpProblem(
-        objective=objective,
-        constraint_matrix=eq,
-        rhs=rhs,
-        row_kinds=(ROW_EQ,) * (s + 1),
-        variable_bounds=(VAR_NONNEG,) * (n + r),
-    )
-    outcome = solve_lp(lp, tol)
+    system = multiplier_lp(ep, True, np.concatenate([np.zeros(n), np.ones(r)]))
+    outcome = solve_lp(system, tol)
     if outcome.status is LpStatus.INFEASIBLE:
         return None
     if outcome.status is not LpStatus.OPTIMAL:
         raise NumericalBreakdownError(
             f"KT stage-1 LP ended {outcome.status.value}"
         )
-    mu_total = float(outcome.objective_value)
     # stage 2: among minimal-Σμ solutions, minimize the largest weight
-    v = _min_max_weight(eq, rhs, n, (objective, mu_total), tol)
-    if v is None:  # stage-1 optimum satisfies the pin, so this cannot happen
+    v = _min_max_weight(system, n, float(outcome.objective_value), tol)
+    # the stage-1 optimum meets the pin, yet the simplex can misread stage 2:
+    # None here, or an all-zero λ that `_canonical_weights` rejects
+    if v is None:
         raise NumericalBreakdownError("KT stage-2 LP infeasible after stage 1")
-    lam = np.clip(v[:n], 0.0, None)
-    mu = np.clip(v[n:], 0.0, None)
-    lam /= lam.sum()
-    residual = float(
-        np.max(np.abs(lam @ ep.objective_jacobian + mu @ jac_active))
-    )
-    if residual > tol.stationary:
-        raise NumericalBreakdownError(
-            f"KT multiplier residual {residual:.3e} exceeds tolerance"
-        )
+    lam, mu, residual = _canonical_weights(v, ep, True, tol)
     return KtMultipliers(
         lam=lam, mu=mu, active_indices=ep.active_indices, residual=residual
     )

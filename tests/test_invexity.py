@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from problemgen import small_polynomial_problems
+from reference_pairs import _weighted_change_lp, reference_pair
 from reference_report import validate_evaluated_pair
 
 from invexcheck.invexity import (
@@ -161,6 +162,53 @@ def test_kt_certificate_carries_constraint_multiplier():
     assert cert.mu == pytest.approx([0.5])
     assert cert.violation == pytest.approx(-2.0)
     assert validate_pair_verdict(SPLIT_INTERVAL, verdict) == []
+
+
+@pytest.mark.parametrize("kind", [InvexityKind.KT_INVEX, InvexityKind.STRICT_KT_INVEX],
+                         ids=lambda k: k.value)
+def test_kt_descent_kernel_survives_rounding(kind):
+    # x̄ is not KT-stationary, so the descent direction d (Jg_A·d = 0) must
+    # settle the pair; t·d left Jg_A·η at a few ulps above 0, and the LP
+    # over the empty Λ(x̄) then raised
+    problem = Problem(
+        name="random-polynomial",
+        variables=("x", "y"),
+        objectives=(
+            "(1.5) * x^1 + (0.5) * x^3 * y^3 + (-1.0) * x^1 * y^1",
+            "(-2.0) * x^2 * y^1",
+        ),
+        constraints=("(-2.0) * x^3 * y^1 + (1.0) * x^2 * y^3 + (-0.5)",),
+        box=((-1.0, 1.0), (-1.0, 1.0)),
+    )
+    pbar = evaluate(problem, [-0.5, 1.0])
+    assert pbar.active_indices == (0,)
+    for x in ([-1.0, 0.0], [-0.5, -1.0]):
+        verdict = pair_certifier(kind)(pbar, evaluate(problem, x))
+        assert verdict.holds
+        assert validate_pair_verdict(problem, verdict) == []
+
+
+@pytest.mark.parametrize("kind", [InvexityKind.KT_INVEX, InvexityKind.STRICT_KT_INVEX],
+                         ids=lambda k: k.value)
+def test_kt_failure_with_tiny_active_gradient(kind):
+    # x̄ = 0 is KT-stationary with μ = 1e7; η = x − x̄ leaves Jg_A·η = 1e-7·|x|,
+    # which a slack on the active rows would accept though λ·Δf = x < 0
+    problem = Problem(
+        name="tiny-active-gradient",
+        variables=("x",),
+        objectives=("x",),
+        constraints=("(-1e-07) * x + (-1.0) * x^2",),
+        box=((-1.0, 1.0),),
+    )
+    dv = certify_domain(problem, kind, GridSampler(0.25))
+    assert [(tuple(v.xbar), tuple(v.x)) for v in dv.failures] == [
+        ((0.0,), (x,)) for x in (-1.0, -0.75, -0.5, -0.25)
+    ]
+    for verdict in dv.failures:
+        assert verdict.certificate.violation == verdict.x[0]
+        assert verdict.certificate.mu == pytest.approx([1e7])
+        assert validate_pair_verdict(problem, verdict) == []
+    assert theorem_crosscheck(problem, 0.25).check_for(kind).agreement
 
 
 def test_pair_rejects_points_from_different_problems():
@@ -336,12 +384,8 @@ def test_strict_kernels_replay_for_strictly_convex_objectives(a, xbar, x):
     assert validate_pair_verdict(problem, verdict) == []
 
 
-def pairwise_sweep(problem, kind, sampler, tol=DEFAULT_TOL):
-    """Reference sweep: the single-pair certifier on every ordered pair.
-
-    Returns (checked_pairs, points_sampled, failures) as `certify_domain`
-    computed them before sweeps were decided per base point.
-    """
+def evaluated_points(problem, kind, sampler, tol=DEFAULT_TOL):
+    """The sampled points a sweep of ``kind`` decides, evaluated one by one."""
     if not kind.is_kt:
         problem = without_constraints(problem)
     evaluated = [evaluate(problem, x, tol) for x in sampler.points(problem)]
@@ -349,20 +393,42 @@ def pairwise_sweep(problem, kind, sampler, tol=DEFAULT_TOL):
         evaluated = [ep for ep in evaluated if ep.feasible]
     if not evaluated:
         raise InfeasiblePointError("sampler produced no feasible point")
-    certify = pair_certifier(kind)
-    failures = []
-    checked = 0
-    for pbar in evaluated:
-        for p in evaluated:
-            if kind.is_strict and (
-                float(np.linalg.norm(p.x - pbar.x)) <= DEGENERATE_PAIR_RADIUS
-            ):
-                continue
-            verdict = certify(pbar, p, tol)
-            checked += 1
-            if not verdict.holds:
-                failures.append(verdict)
-    return checked, len(evaluated), failures
+    return evaluated
+
+
+def ordered_pairs(evaluated, kind):
+    """Every ordered pair a sweep of ``kind`` checks: strict kinds skip x = x̄."""
+    return [
+        (pbar, p)
+        for pbar in evaluated
+        for p in evaluated
+        if not kind.is_strict
+        or float(np.linalg.norm(p.x - pbar.x)) > DEGENERATE_PAIR_RADIUS
+    ]
+
+
+def pairwise_sweep(problem, kind, sampler, tol=DEFAULT_TOL):
+    """Reference sweep: the old pair engines on every ordered pair.
+
+    Returns (checked_pairs, points_sampled, failures) as `certify_domain`
+    computed them before sweeps were decided per base point and one LP
+    settled every kind.
+    """
+    evaluated = evaluated_points(problem, kind, sampler, tol)
+    pairs = ordered_pairs(evaluated, kind)
+    verdicts = [reference_pair(pbar, p, kind, tol) for pbar, p in pairs]
+    return len(pairs), len(evaluated), [v for v in verdicts if not v.holds]
+
+
+def same_certificate(got, want) -> bool:
+    """Equal certificates, every float to the last bit."""
+    if (got.mu is None) != (want.mu is None):
+        return False
+    return (
+        got.lam.tobytes() == want.lam.tobytes()
+        and (want.mu is None or got.mu.tobytes() == want.mu.tobytes())
+        and float(got.violation).hex() == float(want.violation).hex()
+    )
 
 
 def assert_sweep_matches(problem, kind, sampler, reference):
@@ -374,15 +440,14 @@ def assert_sweep_matches(problem, kind, sampler, reference):
     assert [(tuple(v.xbar), tuple(v.x)) for v in dv.failures] == [
         (tuple(v.xbar), tuple(v.x)) for v in failures
     ]
+    reading = problem if kind.is_kt else without_constraints(problem)
+    certify = pair_certifier(kind)
     for got, want in zip(dv.failures, failures):
         assert got.kernel is None
-        assert np.array_equal(got.certificate.lam, want.certificate.lam)
-        if want.certificate.mu is None:
-            assert got.certificate.mu is None
-        else:
-            assert np.array_equal(got.certificate.mu, want.certificate.mu)
-        assert got.certificate.violation == want.certificate.violation
-    reading = problem if kind.is_kt else without_constraints(problem)
+        assert same_certificate(got.certificate, want.certificate)
+        # the single-pair certifier gives the sweep's certificate
+        single = certify(evaluate(reading, got.xbar), evaluate(reading, got.x))
+        assert same_certificate(single.certificate, got.certificate)
     for verdict in dv.kernels:
         assert validate_pair_verdict(reading, verdict) == []
 
@@ -413,12 +478,73 @@ def test_random_sweep_matches_pairwise_reference(kind):
 @settings(max_examples=50, deadline=None)
 @given(small_polynomial_problems(), st.sampled_from(list(InvexityKind)))
 def test_sweep_matches_pairwise_reference_on_random_polynomials(problem, kind):
+    """The one LP against the old engines on every ordered pair.
+
+    Both give the same `holds`, except at strict pairs whose optimum v* of
+    min λ·Δf over Λ(x̄) is zero up to rounding, which either side may read
+    as a kernel. Nonstrict failures carry the same certificate bytes, as
+    the old engine ended in the same LP. Strict failures may carry other
+    multipliers where Λ(x̄) has several optimal ones. Every verdict of the
+    single-pair certifier replays; the sweep counts the same pairs and
+    points, reports the single-pair failures in pair order with their
+    bytes, and samples kernels that replay.
+    """
     sampler = GridSampler(0.5)
     try:
-        reference = pairwise_sweep(problem, kind, sampler)
+        evaluated = evaluated_points(problem, kind, sampler)
+        pairs = ordered_pairs(evaluated, kind)
+        reference = [reference_pair(pbar, p, kind) for pbar, p in pairs]
     except (InfeasiblePointError, NumericalBreakdownError):
         reject()
-    assert_sweep_matches(problem, kind, sampler, reference)
+    certify = pair_certifier(kind)
+    dv = certify_domain(problem, kind, sampler)
+    assert dv.checked_pairs == len(pairs)
+    assert dv.points_sampled == len(evaluated)
+    singles = {}
+    single_failures = []
+    for (pbar, p), want in zip(pairs, reference):
+        got = certify(pbar, p)
+        singles[(pbar.x.tobytes(), p.x.tobytes())] = got
+        assert validate_evaluated_pair(pbar, p, got) == []
+        if not got.holds:
+            single_failures.append(got)
+        if got.holds != want.holds:
+            assert kind.is_strict
+            delta = p.objective_values - pbar.objective_values
+            optimum = _weighted_change_lp(pbar, delta, kind.is_kt, DEFAULT_TOL)
+            assert abs(optimum.objective_value) <= 1e-15 * max(1.0, np.abs(delta).max())
+        elif not got.holds and not kind.is_strict:
+            assert same_certificate(got.certificate, want.certificate)
+    # the sweep reports the single-pair failures, in pair order, with their bytes
+    assert dv.all_pairs_kernel == (not single_failures)
+    assert [(tuple(v.xbar), tuple(v.x)) for v in dv.failures] == [
+        (tuple(v.xbar), tuple(v.x)) for v in single_failures
+    ]
+    for swept, single in zip(dv.failures, single_failures):
+        assert swept.kernel is None
+        assert same_certificate(swept.certificate, single.certificate)
+    # and its kernel samples replay; their margins may differ from the
+    # single-pair ones in the last bits, as the sweep rounds a batched product
+    reading = problem if kind.is_kt else without_constraints(problem)
+    for sample in dv.kernels:
+        assert singles[(sample.xbar.tobytes(), sample.x.tobytes())].holds
+        assert validate_pair_verdict(reading, sample) == []
+
+
+@pytest.mark.parametrize("step", [0.25, 0.5], ids=["0.25", "0.5"])
+@pytest.mark.parametrize("kind", list(InvexityKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", fixture_names())
+def test_pair_certifier_matches_sweep_kernel_samples(name, kind, step):
+    # `invexcheck pair` and a sweep decide a pair in the same passes
+    problem = fixture(name)
+    reading = problem if kind.is_kt else without_constraints(problem)
+    certify = pair_certifier(kind)
+    dv = certify_domain(problem, kind, GridSampler(step))
+    assert dv.kernels
+    for sample in dv.kernels:
+        got = certify(evaluate(reading, sample.xbar), evaluate(reading, sample.x))
+        assert got.kernel.eta.tobytes() == sample.kernel.eta.tobytes()
+        assert float(got.kernel.margin).hex() == float(sample.kernel.margin).hex()
 
 
 def reference_grade_stationary(problem, points, grid_step, strict, tol=DEFAULT_TOL):

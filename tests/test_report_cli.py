@@ -547,6 +547,24 @@ def test_cli_analyze_power_overflow_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: power overflow in `x^200`")
 
 
+def test_cli_analyze_nan_multipliers_are_an_input_error(tmp_path, capsys):
+    # the simplex returns an all-zero λ at the KT nodes with x = -1; the
+    # residual check rejects the NaN that normalising it leaves, where the
+    # report once failed to serialize it
+    path = tmp_path / "tilted.json"
+    path.write_text(json.dumps({
+        "name": "tilted-polynomial",
+        "variables": ["x", "y"],
+        "objectives": ["(-2.0) + (-1e-09) * x + (1e-08) * y"],
+        "constraints": ["(-2.0) * y^1"],
+        "box": [[-1, 1], [-1, 1]],
+    }))
+    code = run_cli("analyze", str(path), "--grid-step", "0.5")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: KT multiplier residual nan exceeds tolerance")
+
+
 def test_cli_analyze_malformed_json_reports_byte_offset(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", ')

@@ -283,6 +283,18 @@ def tilted_polynomial_problems(draw):
     ),
     StationaryKind.VECTOR,
 )
+# the simplex drops an artificial in stage 2 and returns λ = 0 at x = -1,
+# which normalises to NaN: both scans must raise, not accept it
+@example(
+    Problem(
+        name="tilted-polynomial",
+        variables=("x", "y"),
+        objectives=("(-2.0) + (-1e-09) * x + (1e-08) * y",),
+        constraints=("(-2.0) * y^1",),
+        box=((-1.0, 1.0), (-1.0, 1.0)),
+    ),
+    StationaryKind.KT,
+)
 def test_scan_matches_reference_on_random_polynomials(problem, kind):
     try:
         want = reference_scan(problem, 0.5, kind)
