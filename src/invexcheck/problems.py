@@ -10,6 +10,7 @@ where expressions are parsed and differentiated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -21,6 +22,9 @@ from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 #: Half-width of the tolerance band around box edges when checking membership,
 #: and the inset used when drawing random samples from the box interior.
 BOX_EDGE_SLACK = 1e-9
+
+#: Largest number of nodes `grid_points` builds.
+MAX_GRID_NODES = 10**7
 
 
 class OutOfBoxError(ValueError):
@@ -207,12 +211,21 @@ def evaluate(
     return evaluate_many(problem, as_point(problem, x)[None], tol).point(0)
 
 
-def axis_nodes(lo: float, hi: float, step: float) -> np.ndarray:
-    """Inclusive grid nodes along one axis; ``hi`` is appended if not hit."""
+def _axis_count(lo: float, hi: float, step: float) -> tuple[int, bool]:
+    """Steps that fit in [lo, hi] plus one, and whether the last one hits ``hi``."""
     if step <= 0:
         raise ValueError("grid step must be positive")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    if abs(lo + (count - 1) * step - hi) <= 1e-9 * max(1.0, abs(hi)):
+    span = (hi - lo) / step + 1e-9
+    if not math.isfinite(span):
+        raise ValueError(f"grid step {step:g} is too small for the box")
+    count = math.floor(span) + 1
+    return count, abs(lo + (count - 1) * step - hi) <= 1e-9 * max(1.0, abs(hi))
+
+
+def axis_nodes(lo: float, hi: float, step: float) -> np.ndarray:
+    """Inclusive grid nodes along one axis; ``hi`` is appended if not hit."""
+    count, hits = _axis_count(lo, hi, step)
+    if hits:
         return np.linspace(lo, hi, count)
     nodes = lo + step * np.arange(count)
     return np.append(nodes, hi)
@@ -222,8 +235,15 @@ def grid_points(problem: Problem, step: float) -> np.ndarray:
     """All box grid nodes as an array of shape (count, dimension).
 
     Nodes vary fastest in the last coordinate, so output order is
-    lexicographic and deterministic.
+    lexicographic and deterministic. A grid of more than `MAX_GRID_NODES`
+    nodes raises ValueError before anything is allocated.
     """
+    counts = [_axis_count(lo, hi, step) for lo, hi in problem.box]
+    total = math.prod(count + (not hits) for count, hits in counts)
+    if total > MAX_GRID_NODES:
+        raise ValueError(
+            f"grid step {step:g} gives {total} nodes, more than the limit of {MAX_GRID_NODES}"
+        )
     axes = [axis_nodes(lo, hi, step) for lo, hi in problem.box]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

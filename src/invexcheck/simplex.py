@@ -41,6 +41,10 @@ class ToleranceConfig:
     stationary: allowed residual of multiplier stationarity conditions.
     value_tie: objective-value difference under which two points are
         considered to attain the same value on a grid.
+    max_pivots: pivots one `solve_lp` call may take before it gives up.
+    degeneracy_streak: pivots in a row without objective movement after
+        which min-ratio ties are broken lexicographically, which rules out
+        cycling, instead of by the lowest basis index.
     """
 
     pivot: float = 1e-9
@@ -147,74 +151,49 @@ class FarkasCertificate:
 
 
 class _Standardized:
-    """Equality standard form: A z = b, z >= 0, b >= 0, with bookkeeping."""
+    """Equality standard form: A z = b, z >= 0, b >= 0, with bookkeeping.
+
+    Columns are, in order: the original variables (a free variable j is split
+    into plus[j] and minus[j] = plus[j] + 1), one slack per <= row, and one
+    artificial per row that has no slack in the starting basis. Artificials
+    are the trailing columns, from `n_structural` on.
+    """
 
     def __init__(self, lp: LpProblem):
         m, n = lp.shape
-        cols: list[np.ndarray] = []
-        costs: list[float] = []
-        # var_map[j] = (plus column, minus column or -1) for the original variable j
-        self.var_map: list[tuple[int, int]] = []
-        for j in range(n):
-            col = lp.constraint_matrix[:, j]
-            plus = len(costs)
-            cols.append(col)
-            costs.append(lp.objective[j])
-            if lp.variable_bounds[j] == VAR_FREE:
-                cols.append(-col)
-                costs.append(-lp.objective[j])
-                self.var_map.append((plus, plus + 1))
-            else:
-                self.var_map.append((plus, -1))
-        self.slack_col: dict[int, int] = {}
-        for i in range(m):
-            if lp.row_kinds[i] == ROW_LE:
-                e = np.zeros(m)
-                e[i] = 1.0
-                self.slack_col[i] = len(costs)
-                cols.append(e)
-                costs.append(0.0)
-        self.n_structural = len(costs)
-        if cols:
-            matrix = np.column_stack(cols)
-        else:
-            matrix = np.zeros((m, 0))
-        rhs = lp.rhs.astype(float).copy()
-        self.sigma = np.ones(m)
-        for i in range(m):
-            if rhs[i] < 0.0:
-                matrix[i, :] *= -1.0
-                rhs[i] *= -1.0
-                self.sigma[i] = -1.0
+        A = lp.constraint_matrix
+        free = np.array([b == VAR_FREE for b in lp.variable_bounds], dtype=bool)
+        le_rows = np.flatnonzero([kind == ROW_LE for kind in lp.row_kinds])
+        negative = lp.rhs < 0.0
+        self.free = free
+        self.plus = np.arange(n) + np.cumsum(free) - free
+        self.minus = minus = self.plus[free] + 1
+        n_split = n + minus.size
+        self.n_structural = n_split + le_rows.size
         # artificial basis: reuse slack columns where they already form identity
-        basis = np.full(m, -1, dtype=int)
-        art_cols: list[int] = []
-        extra: list[np.ndarray] = []
-        for i in range(m):
-            j = self.slack_col.get(i)
-            if j is not None and self.sigma[i] > 0:
-                basis[i] = j
-            else:
-                e = np.zeros(m)
-                e[i] = 1.0
-                idx = self.n_structural + len(extra)
-                extra.append(e)
-                basis[i] = idx
-                art_cols.append(idx)
-        if extra:
-            matrix = np.column_stack([matrix] + extra) if matrix.size else np.column_stack(extra)
+        basis = np.full(m, -1)
+        basis[le_rows] = n_split + np.arange(le_rows.size)
+        basis[negative] = -1
+        art_rows = np.flatnonzero(basis < 0)
+        basis[art_rows] = self.n_structural + np.arange(art_rows.size)
+        matrix = np.zeros((m, self.n_structural + art_rows.size))
+        matrix[:, self.plus] = A
+        matrix[:, minus] = -A[:, free]
+        matrix[le_rows, n_split + np.arange(le_rows.size)] = 1.0
+        matrix[negative, : self.n_structural] *= -1.0
+        matrix[art_rows, basis[art_rows]] = 1.0
         self.matrix = matrix
-        self.rhs = rhs
-        self.costs = np.array(costs + [0.0] * len(art_cols))
+        self.rhs = np.where(negative, -lp.rhs, lp.rhs)
+        self.sigma = np.where(negative, -1.0, 1.0)
+        self.costs = np.zeros(matrix.shape[1])
+        self.costs[self.plus] = lp.objective
+        self.costs[minus] = -lp.objective[free]
         self.basis = basis
-        self.artificial = np.zeros(self.costs.shape[0], dtype=bool)
-        self.artificial[art_cols] = True
 
     def merge(self, z: np.ndarray) -> np.ndarray:
         """Map a standard-form vector back to original variables."""
-        out = np.empty(len(self.var_map))
-        for j, (plus, minus) in enumerate(self.var_map):
-            out[j] = z[plus] - (z[minus] if minus >= 0 else 0.0)
+        out = z[self.plus]
+        out[self.free] -= z[self.minus]
         return out
 
 
@@ -236,40 +215,88 @@ def _pivot(T: np.ndarray, row: int, enter: int) -> None:
     T[rows] -= np.outer(col[rows], T[row])
 
 
+def _ties(values: np.ndarray) -> np.ndarray:
+    """Mask of the entries within rounding of the smallest one."""
+    best = values.min()
+    return values <= best + 1e-15 * (1.0 + abs(best))
+
+
+def _lex_leave(
+    T: np.ndarray,
+    basis: np.ndarray,
+    ties: np.ndarray,
+    col: np.ndarray,
+    lex_cols: np.ndarray,
+    rank: np.ndarray,
+) -> int:
+    """The lexicographically smallest tied row of T[:, lex_cols] / col.
+
+    `rank[j]` is column j's position in `lex_cols` (len(lex_cols) if absent).
+    A column of `lex_cols` that is still basic is a unit vector, so its only
+    effect is to drop its own row from the ties; those columns are skipped
+    in one step, and only the columns that have left the basis are read.
+    """
+    m = lex_cols.size
+    nonbasic = np.ones(m + 1, dtype=bool)
+    nonbasic[rank[basis]] = False
+    nonbasic[m] = True  # sentinel: past the last column
+    own = rank[basis[ties]]
+    for p in np.flatnonzero(nonbasic):
+        early = own < p
+        if early.all():
+            return int(ties[np.argmax(own)])
+        ties, own = ties[~early], own[~early]
+        if p == m:
+            break
+        keep = _ties(T[ties, lex_cols[p]] / col[ties])
+        ties, own = ties[keep], own[keep]
+        if ties.size == 1:
+            break
+    return int(ties[0])
+
+
 def _pivot_loop(
     T: np.ndarray,
     basis: np.ndarray,
-    allowed: np.ndarray,
+    ncols: int,
     tol: ToleranceConfig,
     counter: list[int],
     allow_unbounded: bool,
 ) -> None:
     """Run simplex pivots on tableau T (last row = reduced costs | -objective).
 
-    Dantzig selection by default; after `degeneracy_streak` pivots without
-    objective movement the rule switches to Bland's until progress resumes.
+    Only the first `ncols` columns may enter. Dantzig's rule picks the
+    entering column, and min-ratio ties leave by the lowest basis index.
+    After `degeneracy_streak` pivots without objective movement, ties are
+    broken lexicographically instead (Dantzig, Orden & Wolfe 1955): the
+    keys are the tied rows of the columns of the basis held at that moment,
+    divided by the pivot column. Each row of [rhs | those columns] starts
+    lexicographically positive and stays so, so no basis repeats while the
+    objective is flat and the loop terminates. Once the objective moves the
+    lowest-index tie-break returns.
     """
     m = T.shape[0] - 1
+    costs = T[-1, :ncols]
+    rhs = T[:m, -1]
     streak = 0
-    while True:
-        rc = T[-1, :-1]
-        candidates = np.where(allowed & (rc < -tol.pivot))[0]
-        if candidates.size == 0:
+    lex_cols = rank = None
+    while costs.size:
+        enter = int(np.argmin(costs))
+        if not costs[enter] < -tol.pivot:
             return
-        if streak >= tol.degeneracy_streak:
-            enter = int(candidates[0])  # Bland: lowest eligible index
-        else:
-            enter = int(candidates[np.argmin(rc[candidates])])
         col = T[:m, enter]
-        rows = np.where(col > tol.pivot)[0]
+        rows = np.flatnonzero(col > tol.pivot)
         if rows.size == 0:
             if allow_unbounded:
                 raise _Unbounded(enter)
             raise NumericalBreakdownError("no admissible pivot row")
-        ratios = T[rows, -1] / col[rows]
-        best = np.min(ratios)
-        ties = rows[ratios <= best + 1e-15 * (1.0 + abs(best))]
-        leave = int(ties[np.argmin(basis[ties])])
+        ties = rows[_ties(rhs[rows] / col[rows])]
+        if ties.size == 1:
+            leave = int(ties[0])
+        elif lex_cols is None:
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = _lex_leave(T, basis, ties, col, lex_cols, rank)
         before = T[-1, -1]
         _pivot(T, leave, enter)
         basis[leave] = enter
@@ -278,17 +305,21 @@ def _pivot_loop(
             raise NumericalBreakdownError(f"pivot cap of {tol.max_pivots} exceeded")
         if abs(T[-1, -1] - before) <= 1e-12 * (1.0 + abs(before)):
             streak += 1
+            if streak == tol.degeneracy_streak:
+                lex_cols = basis.copy()
+                rank = np.full(T.shape[1], m)
+                rank[lex_cols] = np.arange(m)
         else:
             streak = 0
+            lex_cols = None
 
 
 def _reduced_cost_row(matrix: np.ndarray, rhs: np.ndarray, costs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     row = np.concatenate([costs.astype(float), [0.0]])
-    for i, b in enumerate(basis):
-        cb = costs[b]
-        if cb != 0.0:
-            row[:-1] -= cb * matrix[i, :]
-            row[-1] -= cb * rhs[i]
+    for i in np.flatnonzero(costs[basis]):
+        cb = costs[basis[i]]
+        row[:-1] -= cb * matrix[i, :]
+        row[-1] -= cb * rhs[i]
     return row
 
 
@@ -302,44 +333,41 @@ def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
     T = np.zeros((m + 1, N + 1))
     T[:m, :N] = std.matrix
     T[:m, -1] = std.rhs
-    phase1_costs = np.where(std.artificial, 1.0, 0.0)
-    T[-1, :] = _reduced_cost_row(std.matrix, std.rhs, phase1_costs, std.basis)
-    allowed = np.ones(N, dtype=bool)
-    _pivot_loop(T, std.basis, allowed, tol, counter, allow_unbounded=False)
-    phase1_value = -T[-1, -1]
-
-    full = np.column_stack([std.matrix, std.rhs])  # pristine copy for final algebra
-    if phase1_value > tol.feasibility:
-        basis_matrix = std.matrix[:, std.basis]
-        try:
-            y1 = np.linalg.solve(basis_matrix.T, phase1_costs[std.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("singular phase-1 basis") from exc
-        farkas = -std.sigma * y1
-        return LpOutcome(status=LpStatus.INFEASIBLE, farkas_certificate=farkas)
+    ns = std.n_structural
+    if ns < N:  # phase 1: minimize the sum of the artificials
+        phase1_costs = np.zeros(N)
+        phase1_costs[ns:] = 1.0
+        T[-1, :] = _reduced_cost_row(std.matrix, std.rhs, phase1_costs, std.basis)
+        _pivot_loop(T, std.basis, N, tol, counter, allow_unbounded=False)
+        if -T[-1, -1] > tol.feasibility:
+            basis_matrix = std.matrix[:, std.basis]
+            try:
+                y1 = np.linalg.solve(basis_matrix.T, phase1_costs[std.basis])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdownError("singular phase-1 basis") from exc
+            farkas = -std.sigma * y1
+            return LpOutcome(status=LpStatus.INFEASIBLE, farkas_certificate=farkas)
 
     # Drive artificials out of the basis where a structural pivot exists; rows
     # where none exists are redundant and keep a zero-valued artificial.
-    for i in range(m):
-        if std.artificial[std.basis[i]]:
-            structural = np.where(~std.artificial[:N] & (np.abs(T[i, :N]) > tol.pivot))[0]
-            if structural.size:
-                enter = int(structural[0])
-                _pivot(T, i, enter)
-                std.basis[i] = enter
-                counter[0] += 1
+    for i in np.flatnonzero(std.basis >= ns):
+        structural = np.flatnonzero(np.abs(T[i, :ns]) > tol.pivot)
+        if structural.size:
+            enter = int(structural[0])
+            _pivot(T, i, enter)
+            std.basis[i] = enter
+            counter[0] += 1
 
     T[-1, :] = _reduced_cost_row(T[:m, :N], T[:m, -1], std.costs, std.basis)
-    allowed = ~std.artificial
     try:
-        _pivot_loop(T, std.basis, allowed, tol, counter, allow_unbounded=True)
+        _pivot_loop(T, std.basis, ns, tol, counter, allow_unbounded=True)
     except _Unbounded as ub:
         z = np.zeros(N)
         z[std.basis] = T[:m, -1]
         direction = np.zeros(N)
         direction[ub.col] = 1.0
         direction[std.basis] = -T[:m, ub.col]
-        direction[std.artificial] = 0.0
+        direction[ns:] = 0.0
         point = std.merge(z)
         ray = std.merge(direction)
         scale = np.max(np.abs(ray))

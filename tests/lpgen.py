@@ -34,3 +34,20 @@ def random_matrix(rng: np.random.Generator, max_dim: int = 6) -> np.ndarray:
     if rng.random() < 0.4:
         return rng.integers(-5, 6, size=(m, n)).astype(float)
     return rng.uniform(-5, 5, size=(m, n))
+
+
+def planted_motzkin(
+    rng: np.random.Generator, rows: int, weak_rows: int, cols: int, primal: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (A, B) whose Motzkin branch is planted: a witness w with A w <= -1
+    and B w <= 0 (primal), or y > 0, z >= 0 with A^T y + B^T z = 0 (dual)."""
+    A = rng.uniform(-5.0, 5.0, (rows, cols))
+    B = rng.uniform(-5.0, 5.0, (weak_rows, cols))
+    if primal:
+        w = rng.normal(size=cols)
+        A += ((-1.0 - rng.uniform(0.0, 1.0, rows) - A @ w) / (w @ w))[:, None] * w
+        B += ((-rng.uniform(0.0, 1.0, weak_rows) - B @ w) / (w @ w))[:, None] * w
+    else:
+        y = rng.uniform(0.5, 1.5, rows)
+        A[-1] = -(y[:-1] @ A[:-1] + rng.uniform(0.0, 1.0, weak_rows) @ B) / y[-1]
+    return A, B

@@ -1,6 +1,8 @@
 """The Motzkin decider, with and without weak rows (Gordan's theorem): hand
 oracles, exactly-one branch, witness replay."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from invexcheck.alternative import (
     motzkin,
     validate_motzkin,
 )
-from invexcheck.simplex import DimensionMismatchError
-from lpgen import random_matrix
+from invexcheck.simplex import DEFAULT_TOL, DimensionMismatchError
+from lpgen import planted_motzkin, random_matrix
+from reference_simplex import reference_run
 
 
 def test_gordan_strictly_solvable():
@@ -125,3 +128,44 @@ def test_gordan_replays_for_any_shape(m, n, seed):
     A = rng.uniform(-5, 5, size=(m, n))
     out = motzkin(A)
     assert validate_motzkin(A, None, out) == []
+
+
+def stall_system(seed: int, strict: int, weak: int, cols: int):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-5, 5, (strict, cols)), rng.uniform(-5, 5, (weak, cols))
+
+
+@pytest.mark.parametrize("seed, strict, weak, cols", [(101, 80, 20, 40), (3, 120, 30, 50)])
+def test_dense_degenerate_systems_decide(seed, strict, weak, cols):
+    # both ran into the 10 000-pivot cap when Bland's rule broke the streaks
+    A, B = stall_system(seed, strict, weak, cols)
+    out = motzkin(A, B)
+    assert out.branch is AlternativeBranch.DUAL
+    assert validate_motzkin(A, B, out) == []
+
+
+def test_decisions_match_reference_pivot_loop():
+    # random and planted 8x4 systems: pickle-identical wherever the old loop
+    # never reached its Bland switch; the same branch and a replayable
+    # witness everywhere
+    rng = np.random.default_rng(4242)
+    reached = 0
+    for i in range(600):
+        if i % 3 == 0:
+            A = random_matrix(rng)
+            B = rng.uniform(-5, 5, size=(int(rng.integers(0, 4)), A.shape[1]))
+            branch = None
+        else:
+            primal = i % 3 == 1
+            A, B = planted_motzkin(rng, 8, 4, 4, primal)
+            branch = AlternativeBranch.PRIMAL if primal else AlternativeBranch.DUAL
+        want, hit = reference_run(lambda: motzkin(A, B), DEFAULT_TOL)
+        got = motzkin(A, B)
+        assert got.branch is want.branch
+        assert branch is None or got.branch is branch
+        assert validate_motzkin(A, B, got) == []
+        if hit:
+            reached += 1
+        else:
+            assert pickle.dumps(got) == pickle.dumps(want)
+    assert 0 < reached < 300, reached

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from invexcheck import problems
 from invexcheck.problems import (
     OutOfBoxError,
     Problem,
@@ -108,6 +109,25 @@ def test_grid_points_counts_and_endpoints():
     # lexicographic: first coordinate varies slowest
     assert pts[0] == pytest.approx([-2.0, -2.0])
     assert pts[1] == pytest.approx([-2.0, -1.0])
+
+
+def test_grid_points_refuses_oversized_grid_before_allocating(monkeypatch):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    p = fixture("two-var-convex")
+    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    with pytest.raises(ValueError, match="grid step 1e-05 gives 160000800001 nodes"):
+        grid_points(p, 1e-5)
+    with pytest.raises(ValueError, match="too small"):
+        grid_points(p, 1e-320)
+    monkeypatch.undo()
+    # the limit counts the appended upper edge: 0.3 gives 15 nodes per axis
+    monkeypatch.setattr(problems, "MAX_GRID_NODES", 225)
+    assert grid_points(p, 0.3).shape == (225, 2)
+    monkeypatch.setattr(problems, "MAX_GRID_NODES", 224)
+    with pytest.raises(ValueError, match="225 nodes"):
+        grid_points(p, 0.3)
 
 
 def test_random_points_deterministic_and_inside():

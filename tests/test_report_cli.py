@@ -668,6 +668,33 @@ def test_cli_alternative_motzkin(tmp_path, capsys):
     assert payload["dual_witness_z"] == [1.0]
 
 
+def test_cli_alternative_decides_dense_degenerate_system(tmp_path, capsys):
+    # once stalled at the pivot cap with "pivot cap of 10000 exceeded"
+    rng = np.random.default_rng(101)
+    paths = []
+    for name, rows in (("A.csv", 80), ("B.csv", 20)):
+        path = tmp_path / name
+        matrix = rng.uniform(-5, 5, (rows, 40))
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in matrix))
+        paths.append(str(path))
+    code = run_cli("alternative", *paths)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["theorem"] == "motzkin"
+    assert payload["branch"] == "dual"
+
+
+def test_cli_analyze_refuses_oversized_grid(monkeypatch, capsys):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(np, "meshgrid", no_mesh)
+    code = run_cli("analyze", "two-var-convex", "--grid-step", "1e-5")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "160000800001 nodes" in err
+
+
 def test_cli_alternative_csv_errors(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("1,2\n3\n")

@@ -1,5 +1,7 @@
 """Two-phase simplex: hand-built cases, certificate replay, scipy agreement."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +18,17 @@ from invexcheck.simplex import (
     FeasiblePoint,
     LpProblem,
     LpStatus,
+    NumericalBreakdownError,
     ToleranceConfig,
     check_feasibility,
     solve_lp,
     validate_outcome,
 )
 from lpgen import random_lp
+from invexcheck import simplex
+from invexcheck.simplex import _Standardized
+from reference_simplex import _Standardized as ReferenceStandardized
+from reference_simplex import lex_leave_by_columns, reference_solve_lp
 
 try:
     from scipy.optimize import linprog
@@ -92,6 +99,23 @@ def test_degenerate_vertex_terminates():
     out = solve_lp(problem)
     assert out.status is LpStatus.OPTIMAL
     assert out.objective_value == pytest.approx(-2.0)
+
+
+def test_cycling_example_terminates():
+    # Chvatal (Linear Programming, 1983, ch. 3): Dantzig's entering rule with
+    # lowest-index ratio ties cycles forever at the degenerate origin
+    problem = lp(
+        [-10, 57, 9, 24],
+        [[0.5, -5.5, -2.5, 9], [0.5, -1.5, -0.5, 1], [1, 0, 0, 0]],
+        [0, 0, 1],
+    )
+    never_switch = ToleranceConfig(max_pivots=1000, degeneracy_streak=10**6)
+    with pytest.raises(NumericalBreakdownError, match="pivot cap"):
+        solve_lp(problem, never_switch)
+    out = solve_lp(problem, ToleranceConfig(max_pivots=50))
+    assert out.status is LpStatus.OPTIMAL
+    assert out.primal_solution == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    assert validate_outcome(problem, out) == []
 
 
 def test_duality_gap_on_optimal():
@@ -198,3 +222,92 @@ def test_any_seed_validates(seed):
     problem = random_lp(rng)
     out = solve_lp(problem)
     assert validate_outcome(problem, out) == []
+
+
+def test_standard_form_matches_reference_loops():
+    # array indexing must give the column-by-column build bit for bit,
+    # signed zeros included
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        problem = random_lp(rng)
+        got, want = _Standardized(problem), ReferenceStandardized(problem)
+        for name in ("matrix", "rhs", "costs", "basis", "sigma"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert got.n_structural == want.n_structural
+        z = rng.normal(size=want.costs.size)
+        z[rng.random(z.size) < 0.3] = -0.0
+        assert got.merge(z).tobytes() == want.merge(z).tobytes()
+
+
+@pytest.mark.parametrize("streak", [DEFAULT_TOL.degeneracy_streak, 1])
+def test_outcomes_match_reference_pivot_loop(streak):
+    # the two loops pivot alike until a flat streak reaches the switch, so the
+    # outcomes are pickle-identical there; past it both must be right
+    tol = ToleranceConfig(degeneracy_streak=streak)
+    rng = np.random.default_rng(3)
+    reached = 0
+    for _ in range(1500):
+        problem = random_lp(rng)
+        want, hit = reference_solve_lp(problem, tol)
+        got = solve_lp(problem, tol)
+        assert got.status is want.status, problem
+        assert validate_outcome(problem, got, tol) == []
+        if hit:
+            reached += 1
+            if got.status is LpStatus.OPTIMAL:
+                assert got.objective_value == pytest.approx(want.objective_value, abs=1e-7)
+        else:
+            assert pickle.dumps(got) == pickle.dumps(want), problem
+    assert (reached > 100) == (streak == 1), reached
+
+
+def test_lex_tie_break_matches_column_by_column_rule(monkeypatch):
+    # `_lex_leave` skips the columns that are still basic; it must pick the
+    # row that comparing every column in turn picks
+    lex_leave = simplex._lex_leave
+    calls = []
+
+    def both(*args):
+        got = lex_leave(*args)
+        calls.append((got, lex_leave_by_columns(*args)))
+        return got
+
+    monkeypatch.setattr(simplex, "_lex_leave", both)
+    tol = ToleranceConfig(degeneracy_streak=1)
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        # integer rows through the origin plus one cap row: ties at ratio 0
+        m, n = (int(k) for k in rng.integers(2, 12, size=2))
+        problem = lp(
+            rng.integers(-3, 4, size=n),
+            np.vstack([rng.integers(-3, 4, size=(m, n)), np.ones((1, n))]),
+            np.r_[np.zeros(m), 1.0],
+            bounds=(VAR_FREE,) * n,
+        )
+        assert validate_outcome(problem, solve_lp(problem, tol), tol) == []
+    assert len(calls) > 100, len(calls)
+    assert all(got == want for got, want in calls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 2, DEFAULT_TOL.degeneracy_streak]),
+)
+def test_degenerate_lps_terminate(seed, streak):
+    # integer data and a zero right-hand side: every vertex is the origin, so
+    # every pivot is degenerate
+    rng = np.random.default_rng(seed)
+    m, n = (int(k) for k in rng.integers(1, 8, size=2))
+    problem = LpProblem(
+        objective=rng.integers(-2, 3, size=n).astype(float),
+        constraint_matrix=rng.integers(-2, 3, size=(m, n)).astype(float),
+        rhs=np.zeros(m),
+        row_kinds=tuple(ROW_EQ if rng.random() < 0.3 else ROW_LE for _ in range(m)),
+        variable_bounds=tuple(VAR_FREE if rng.random() < 0.3 else VAR_NONNEG for _ in range(n)),
+    )
+    tol = ToleranceConfig(degeneracy_streak=streak, max_pivots=100)
+    out = solve_lp(problem, tol)  # raises NumericalBreakdownError past 100 pivots
+    assert out.status is not LpStatus.INFEASIBLE
+    assert validate_outcome(problem, out, tol) == []
