@@ -212,7 +212,7 @@ def evaluate(
 
 
 def _axis_count(lo: float, hi: float, step: float) -> tuple[int, bool]:
-    """Steps that fit in [lo, hi] plus one, and whether the last one hits ``hi``."""
+    """How many nodes lo + k * step lie in [lo, hi], and whether the last is ``hi``."""
     if step <= 0:
         raise ValueError("grid step must be positive")
     span = (hi - lo) / step + 1e-9

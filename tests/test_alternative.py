@@ -130,15 +130,12 @@ def test_gordan_replays_for_any_shape(m, n, seed):
     assert validate_motzkin(A, None, out) == []
 
 
-def stall_system(seed: int, strict: int, weak: int, cols: int):
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-5, 5, (strict, cols)), rng.uniform(-5, 5, (weak, cols))
-
-
 @pytest.mark.parametrize("seed, strict, weak, cols", [(101, 80, 20, 40), (3, 120, 30, 50)])
 def test_dense_degenerate_systems_decide(seed, strict, weak, cols):
     # both ran into the 10 000-pivot cap when Bland's rule broke the streaks
-    A, B = stall_system(seed, strict, weak, cols)
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(-5, 5, (strict, cols))
+    B = rng.uniform(-5, 5, (weak, cols))
     out = motzkin(A, B)
     assert out.branch is AlternativeBranch.DUAL
     assert validate_motzkin(A, B, out) == []

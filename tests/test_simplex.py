@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invexcheck import simplex
 from invexcheck.simplex import (
     DEFAULT_TOL,
     ROW_EQ,
@@ -25,8 +26,6 @@ from invexcheck.simplex import (
     validate_outcome,
 )
 from lpgen import random_lp
-from invexcheck import simplex
-from invexcheck.simplex import _Standardized
 from reference_simplex import _Standardized as ReferenceStandardized
 from reference_simplex import lex_leave_by_columns, reference_solve_lp
 
@@ -230,7 +229,7 @@ def test_standard_form_matches_reference_loops():
     rng = np.random.default_rng(17)
     for _ in range(500):
         problem = random_lp(rng)
-        got, want = _Standardized(problem), ReferenceStandardized(problem)
+        got, want = simplex._Standardized(problem), ReferenceStandardized(problem)
         for name in ("matrix", "rhs", "costs", "basis", "sigma"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
