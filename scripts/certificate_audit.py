@@ -19,11 +19,11 @@ import numpy as np
 from invexcheck import (
     InfeasiblePointError,
     InvexityKind,
+    certify_pair,
     evaluate,
     fixture,
     fixture_names,
     motzkin,
-    pair_certifier,
     solve_lp,
     validate_motzkin,
     validate_outcome,
@@ -78,7 +78,7 @@ def audit_pairs(rng, count):
         if kind.is_strict and np.allclose(xbar, x):
             continue
         try:
-            verdict = pair_certifier(kind)(evaluate(problem, xbar), evaluate(problem, x))
+            verdict = certify_pair(evaluate(problem, xbar), evaluate(problem, x), kind)
         except InfeasiblePointError:
             continue  # sampled point lands outside a KT kind's feasible set
         key = f"{kind.value}/" + ("kernel" if verdict.holds else "certificate")

@@ -19,13 +19,13 @@ import numpy as np
 
 from .alternative import motzkin
 from .expressions import DomainError
-from .invexity import GridSampler, InvexityKind, RandomSampler, pair_certifier
+from .invexity import GridSampler, InvexityKind, RandomSampler, certify_pair
 from .problems import (
     UnknownFixtureError,
     evaluate,
     fixture,
     fixture_names,
-    problem_from_dict,
+    load_problem,
 )
 from .report import (
     build_report,
@@ -78,20 +78,12 @@ def _load_problem_arg(spec: str):
     except UnknownFixtureError:
         pass
     try:
-        with open(spec, "r", encoding="utf-8") as handle:
-            raw = handle.read()
+        return load_problem(spec)
     except OSError as exc:
         raise ValueError(
             f"{spec!r} is neither a fixture ({', '.join(fixture_names())}) "
             f"nor a readable file: {exc}"
         ) from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{spec}: invalid JSON at byte {exc.pos}: {exc.msg}"
-        ) from None
-    return problem_from_dict(data)
 
 
 def _parse_vector(text: str, flag: str) -> np.ndarray:
@@ -223,7 +215,7 @@ def _cmd_pair(args) -> int:
     kind = InvexityKind(args.kind)
     pbar = evaluate(problem, xbar, tol)
     p = evaluate(problem, x, tol)
-    verdict = pair_certifier(kind)(pbar, p, tol)
+    verdict = certify_pair(pbar, p, kind, tol)
     _write_output(canonical_json(pair_verdict_to_dict(verdict)), args.output)
     return EXIT_OK
 

@@ -458,15 +458,6 @@ def forward(exprs, points, gradient: bool = True) -> tuple[np.ndarray, np.ndarra
     return values, jacobian
 
 
-def eval_value(expr: Expr, x: np.ndarray | list[float]) -> float:
-    return float(forward((expr,), np.asarray(x, dtype=float)[None], gradient=False)[0][0, 0])
-
-
-def eval_with_gradient(expr: Expr, x: np.ndarray | list[float]) -> tuple[float, np.ndarray]:
-    values, jacobian = forward((expr,), np.asarray(x, dtype=float)[None])
-    return float(values[0, 0]), jacobian[0, 0]
-
-
 @dataclass
 class SmoothnessViolation:
     x: np.ndarray
@@ -493,7 +484,7 @@ _SMOOTHNESS_SEED = 724212
 
 def _fd_deviation(expr: Expr, x: np.ndarray, step: float) -> float:
     """Largest relative gap between the gradient and central differences."""
-    _, ad = eval_with_gradient(expr, x)
+    ad = forward((expr,), x[None])[1][0, 0]
     shifted = np.repeat(x[None], 2 * x.size, axis=0)  # rows x + h e_i, x - h e_i, ...
     shifted[2 * np.arange(x.size), np.arange(x.size)] += step
     shifted[2 * np.arange(x.size) + 1, np.arange(x.size)] -= step
@@ -544,7 +535,7 @@ def _locate_seams_1d(expr: Expr, lo: float, hi: float) -> list[float]:
                 a, b = float(grid[i]), float(grid[i + 1])
                 for _ in range(80):
                     mid = 0.5 * (a + b)
-                    fm = eval_value(gen, [mid])
+                    fm = forward((gen,), np.array([[mid]]), gradient=False)[0][0, 0]
                     if fm == 0.0:
                         a = b = mid
                         break

@@ -1,7 +1,7 @@
-"""Pairwise invexity certifiers, domain sampling verdicts, and cross-checks.
+"""Pairwise invexity certification, domain sampling verdicts, and cross-checks.
 
-For one ordered pair (x̄, x) each certifier decides a linear system in the
-kernel vector η and returns exactly one of
+For one ordered pair (x̄, x) and one invexity kind, `certify_pair` decides
+a linear system in the kernel vector η and returns exactly one of
 
 * a **kernel witness** η — substituting it into the defining inequalities
   verifies the invexity relation for that pair, with a quantitative margin
@@ -25,8 +25,8 @@ tries the kernels η = 0 (nonstrict kinds) and η = x − x̄; if pairs remain,
 one Gordan/Motzkin decision on Jf(x̄) either yields a descent direction that
 scales into a kernel for all of them or shows x̄ (KT-)stationary.
 `certify_domain` runs these passes once per x̄ against all sampled x, and
-the single-pair certifiers on their one pair; either way only the pairs
-still open solve the LP, so a pair gets the same verdict from both.
+`certify_pair` on its one pair; either way only the pairs still open solve
+the LP, so a pair gets the same verdict from both.
 
 `theorem_crosscheck` confronts the sampled verdicts with the stationarity
 and weighting scans: stationary-points-are-global must agree with
@@ -74,14 +74,14 @@ from .stationarity import (
     scan_critical_points,
 )
 
-#: Pairs closer than this are rejected by the strict certifiers.
+#: Pairs closer than this are rejected by `certify_pair` for the strict kinds.
 DEGENERATE_PAIR_RADIUS = 1e-9
 
 _KERNEL_SAMPLE_LIMIT = 100
 
 
 class DegeneratePairError(ValueError):
-    """A strict certifier needs two distinct points."""
+    """A strict kind needs two distinct points."""
 
 
 class InvexityKind(Enum):
@@ -182,13 +182,19 @@ def _weighted_change(
     return PairVerdict(kind=kind, xbar=pbar.x, x=p.x, kernel=None, certificate=certificate)
 
 
-def _pair(
+def certify_pair(
     pbar: EvaluatedPoint,
     p: EvaluatedPoint,
     kind: InvexityKind,
-    tol: ToleranceConfig,
+    tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PairVerdict:
-    """One pair, decided as a sweep decides it: substitution, then the LP."""
+    """Kernel or certificate for the pair (x̄, x) under one invexity kind.
+
+    The pair is decided as a sweep decides it: substitution of the cheap
+    kernels, then the weighted-change LP. Strict kinds need two distinct
+    points (`DegeneratePairError`); KT kinds need both points feasible
+    (`InfeasiblePointError`).
+    """
     _require_shared_problem(pbar, p)
     if kind.is_strict:
         gap = float(np.linalg.norm(p.x - pbar.x))
@@ -209,46 +215,6 @@ def _pair(
         return _weighted_change(pbar, p, kind, tol)
     kernel = KernelWitness(eta=etas[0], margin=float(margins[0]))
     return PairVerdict(kind=kind, xbar=pbar.x, x=p.x, kernel=kernel, certificate=None)
-
-
-def invex_pair(
-    pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> PairVerdict:
-    """Kernel or certificate for ``f(x) − f(x̄) ≧ Jf(x̄)·η``."""
-    return _pair(pbar, p, InvexityKind.INVEX, tol)
-
-
-def kt_invex_pair(
-    pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> PairVerdict:
-    """Invexity rows plus ``Jg_A(x̄)·η ≤ 0``; both points must be feasible."""
-    return _pair(pbar, p, InvexityKind.KT_INVEX, tol)
-
-
-def strict_invex_pair(
-    pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> PairVerdict:
-    """Strict componentwise version: ``f(x) − f(x̄) > Jf(x̄)·η``."""
-    return _pair(pbar, p, InvexityKind.STRICT_INVEX, tol)
-
-
-def strict_kt_invex_pair(
-    pbar: EvaluatedPoint, p: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> PairVerdict:
-    """Strict objective rows plus ``Jg_A(x̄)·η ≤ 0``; both points must be feasible."""
-    return _pair(pbar, p, InvexityKind.STRICT_KT_INVEX, tol)
-
-
-_PAIR_CERTIFIERS = {
-    InvexityKind.INVEX: invex_pair,
-    InvexityKind.STRICT_INVEX: strict_invex_pair,
-    InvexityKind.KT_INVEX: kt_invex_pair,
-    InvexityKind.STRICT_KT_INVEX: strict_kt_invex_pair,
-}
-
-
-def pair_certifier(kind: InvexityKind):
-    return _PAIR_CERTIFIERS[kind]
 
 
 @dataclass(frozen=True)
@@ -422,10 +388,10 @@ def certify_domain(
     Each base point x̄ is decided once against all sampled points: kernels
     that one pass verifies by substitution settle most pairs, and only the
     pairs left open at (KT-)stationary base points solve the weighted-change
-    LP. Every verdict, kernel or certificate, is the one the single-pair
-    certifier returns for that pair, except that a kernel's margin may
-    differ in its last bits: the sweep forms Jf(x̄)·η for all pairs of a
-    base point in one matrix product, which rounds otherwise than one row.
+    LP. Every verdict, kernel or certificate, is the one `certify_pair`
+    returns for that pair, except that a kernel's margin may differ in its
+    last bits: the sweep forms Jf(x̄)·η for all pairs of a base point in
+    one matrix product, which rounds otherwise than one row.
     The returned verdicts are read-only.
 
     KT kinds restrict to feasible sample points; strict kinds skip

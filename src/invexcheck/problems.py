@@ -430,9 +430,17 @@ def problem_from_dict(data: dict) -> Problem:
 
 
 def load_problem(path: str) -> Problem:
-    """Read a problem JSON file; fixture names are resolved by the CLI, not here."""
+    """Read a problem JSON file; fixture names are resolved by the CLI, not here.
+
+    An unreadable file raises OSError; malformed JSON raises ValueError
+    naming the byte offset of the error.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        raw = handle.read()
+    try:
+        data = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from None
     return problem_from_dict(data)
 
 

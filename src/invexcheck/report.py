@@ -246,7 +246,6 @@ def build_report(
                     "lam": _vector(w.lam),
                     "minimizers": [_vector(x) for x in sol.minimizers],
                     "value": sol.value,
-                    "certified": sol.certified,
                     "grid_step": sol.grid_step,
                 }
             )

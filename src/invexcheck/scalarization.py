@@ -1,11 +1,10 @@
-"""Weighted-sum scalarization with grid-certified global optimality.
+"""Weighted-sum scalarization with grid-scoped global optimality.
 
 The weighting problem collapses the objective vector to a single score
 ``w·f(x)`` for a weight vector in the unit simplex, and is solved here by
 exhaustive evaluation over the box grid followed by a projected-gradient
-polish of every argmin node. "Certified" always means *at the stated grid
-resolution*: reports carry the grid step, and no claim is made about the
-continuum between nodes.
+polish of every argmin node. Reports carry the grid step, and no claim is
+made about the continuum between nodes.
 """
 
 from __future__ import annotations
@@ -178,7 +177,6 @@ def _dedupe(points: list[np.ndarray], radius: float) -> list[np.ndarray]:
 class WeightingSolution:
     minimizers: list[np.ndarray]       # polished, deduplicated, grid order
     value: float
-    certified: bool                    # always True: certification is grid-scoped
     grid_step: float
     grid_minimizers: np.ndarray        # argmin nodes before polishing, (k, s)
 
@@ -210,7 +208,6 @@ def solve_weighting(
     return WeightingSolution(
         minimizers=minimizers,
         value=value,
-        certified=True,
         grid_step=float(grid_step),
         grid_minimizers=grid_minimizers,
     )

@@ -140,16 +140,6 @@ class LpOutcome:
     ray: np.ndarray | None = None
 
 
-@dataclass
-class FeasiblePoint:
-    point: np.ndarray
-
-
-@dataclass
-class FarkasCertificate:
-    y: np.ndarray
-
-
 class _Standardized:
     """Equality standard form: A z = b, z >= 0, b >= 0, with bookkeeping.
 
@@ -385,6 +375,11 @@ def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
             y = np.zeros(0)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdownError("singular optimal basis") from exc
+    # an artificial left basic in a row judged redundant must be zero, or the
+    # primal merged below breaks that row
+    worst = np.max(np.abs(x_basis[std.basis >= ns]), initial=0.0)
+    if worst > tol.feasibility:
+        raise NumericalBreakdownError(f"artificial variable left basic at {worst:.3e}")
     z = np.zeros(N)
     z[std.basis] = x_basis
     x = std.merge(z)
@@ -396,32 +391,6 @@ def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
         objective_value=value,
         dual_values=duals,
     )
-
-
-def check_feasibility(
-    matrix: np.ndarray,
-    rhs: np.ndarray,
-    row_kinds: tuple[str, ...],
-    variable_bounds: tuple[str, ...],
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> FeasiblePoint | FarkasCertificate:
-    """Decide feasibility of a linear system; Farkas vector when infeasible."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2:
-        raise DimensionMismatchError("system matrix must be 2-D")
-    lp = LpProblem(
-        objective=np.zeros(matrix.shape[1]),
-        constraint_matrix=matrix,
-        rhs=rhs,
-        row_kinds=row_kinds,
-        variable_bounds=variable_bounds,
-    )
-    outcome = solve_lp(lp, tol)
-    if outcome.status is LpStatus.OPTIMAL:
-        return FeasiblePoint(point=outcome.primal_solution)
-    if outcome.status is LpStatus.INFEASIBLE:
-        return FarkasCertificate(y=outcome.farkas_certificate)
-    raise NumericalBreakdownError("feasibility probe reported unbounded")  # c = 0: unreachable
 
 
 def validate_outcome(lp: LpProblem, outcome: LpOutcome, tol: ToleranceConfig = DEFAULT_TOL) -> list[str]:

@@ -28,14 +28,11 @@ from invexcheck.simplex import (
     ROW_LE,
     VAR_FREE,
     VAR_NONNEG,
-    FarkasCertificate,
-    FeasiblePoint,
     LpOutcome,
     LpProblem,
     LpStatus,
     NumericalBreakdownError,
     ToleranceConfig,
-    check_feasibility,
     solve_lp,
 )
 
@@ -150,15 +147,16 @@ def _weak_pair(
                 certificate=None,
             )
 
-    result = check_feasibility(
-        matrix,
-        rhs,
+    feasibility = LpProblem(
+        objective=np.zeros(matrix.shape[1]),
+        constraint_matrix=matrix,
+        rhs=rhs,
         row_kinds=(ROW_LE,) * matrix.shape[0],
         variable_bounds=(VAR_FREE,) * matrix.shape[1],
-        tol=tol,
     )
-    if isinstance(result, FeasiblePoint):
-        eta = result.point
+    result = solve_lp(feasibility, tol)
+    if result.status is LpStatus.OPTIMAL:
+        eta = result.primal_solution
         return PairVerdict(
             kind=kind,
             xbar=pbar.x,
@@ -166,8 +164,8 @@ def _weak_pair(
             kernel=KernelWitness(eta=eta, margin=_kernel_margin(pbar, p, eta)),
             certificate=None,
         )
-    assert isinstance(result, FarkasCertificate)
-    y = np.clip(result.y, 0.0, None)
+    assert result.status is LpStatus.INFEASIBLE
+    y = np.clip(result.farkas_certificate, 0.0, None)
     n = pbar.objective_jacobian.shape[0]
     lam_raw, mu_raw = y[:n], y[n:]
     total = lam_raw.sum()

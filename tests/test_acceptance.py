@@ -13,12 +13,12 @@ import pytest
 from conftest import record_acceptance
 
 from invexcheck.alternative import motzkin, validate_motzkin
-from invexcheck.expressions import eval_value, eval_with_gradient
+from invexcheck.expressions import forward
 from invexcheck.invexity import (
     GridSampler,
     InvexityKind,
     certify_domain,
-    strict_invex_pair,
+    certify_pair,
     theorem_crosscheck,
 )
 from invexcheck.problems import (
@@ -41,8 +41,8 @@ from invexcheck.simplex import (
     ROW_LE,
     VAR_FREE,
     VAR_NONNEG,
-    FarkasCertificate,
-    check_feasibility,
+    LpProblem,
+    LpStatus,
     solve_lp,
     validate_outcome,
 )
@@ -104,7 +104,7 @@ def test_criterion_1_flagship_regression():
         if stray:
             problems.append(f"{name} nodes differ from [-1, 1] beyond one step: {sorted(stray)[:4]}")
 
-    verdict = strict_invex_pair(evaluate(p, [0.0]), evaluate(p, [0.5]))
+    verdict = certify_pair(evaluate(p, [0.0]), evaluate(p, [0.5]), InvexityKind.STRICT_INVEX)
     if verdict.certificate is None:
         problems.append("strict pair (0, 0.5) did not return a certificate")
 
@@ -147,6 +147,12 @@ def test_criterion_2_alternative_exactly_one_branch():
            time.perf_counter() - t0, budget=30.0)
 
 
+def _infeasible(matrix, rhs, row_kinds, variable_bounds):
+    """Whether the zero-objective LP over the system is infeasible."""
+    lp = LpProblem(np.zeros(matrix.shape[1]), matrix, rhs, row_kinds, variable_bounds)
+    return solve_lp(lp).status is LpStatus.INFEASIBLE
+
+
 def _gordan_other_branch_infeasible(A, out):
     m, n = A.shape
     if out.primal_witness is not None:
@@ -154,11 +160,9 @@ def _gordan_other_branch_infeasible(A, out):
         M = np.vstack([A.T, np.ones((1, m))])
         rhs = np.zeros(n + 1)
         rhs[n] = 1.0
-        got = check_feasibility(M, rhs, (ROW_EQ,) * (n + 1), (VAR_NONNEG,) * m)
-    else:
-        # primal side: A x <= -1 (scale-invariant form of A x < 0) must be empty
-        got = check_feasibility(A, -np.ones(m), (ROW_LE,) * m, (VAR_FREE,) * n)
-    return isinstance(got, FarkasCertificate)
+        return _infeasible(M, rhs, (ROW_EQ,) * (n + 1), (VAR_NONNEG,) * m)
+    # primal side: A x <= -1 (scale-invariant form of A x < 0) must be empty
+    return _infeasible(A, -np.ones(m), (ROW_LE,) * m, (VAR_FREE,) * n)
 
 
 def _motzkin_other_branch_infeasible(A, B, out):
@@ -168,14 +172,10 @@ def _motzkin_other_branch_infeasible(A, B, out):
         M = np.vstack([np.hstack([A.T, B.T]), np.concatenate([np.ones(m), np.zeros(k)])])
         rhs = np.zeros(n + 1)
         rhs[n] = 1.0
-        got = check_feasibility(
-            M, rhs, (ROW_EQ,) * (n + 1), (VAR_NONNEG,) * (m + k)
-        )
-    else:
-        M = np.vstack([A, B])
-        rhs = np.concatenate([-np.ones(m), np.zeros(k)])
-        got = check_feasibility(M, rhs, (ROW_LE,) * (m + k), (VAR_FREE,) * n)
-    return isinstance(got, FarkasCertificate)
+        return _infeasible(M, rhs, (ROW_EQ,) * (n + 1), (VAR_NONNEG,) * (m + k))
+    M = np.vstack([A, B])
+    rhs = np.concatenate([-np.ones(m), np.zeros(k)])
+    return _infeasible(M, rhs, (ROW_LE,) * (m + k), (VAR_FREE,) * n)
 
 
 def test_criterion_3_lp_certificate_replay():
@@ -413,11 +413,12 @@ def test_criterion_8_gradient_validation():
         exprs = p.objective_asts + p.constraint_asts
         for x in points:
             for expr in exprs:
-                _, grad = eval_with_gradient(expr, x)
+                grad = forward((expr,), x[None])[1][0, 0]
                 for j in range(x.size):
                     e = np.zeros(x.size)
                     e[j] = step
-                    fd = (eval_value(expr, x + e) - eval_value(expr, x - e)) / (2 * step)
+                    ahead, behind = forward((expr,), [x + e, x - e], gradient=False)[0][:, 0]
+                    fd = (ahead - behind) / (2 * step)
                     if abs(grad[j] - fd) > 1e-6 * max(1.0, abs(fd)):
                         problems.append(
                             f"{name} at {x.tolist()} coord {j}: "

@@ -22,11 +22,7 @@ from invexcheck.invexity import (
     StationaryGlobality,
     _grade_stationary,
     certify_domain,
-    invex_pair,
-    kt_invex_pair,
-    pair_certifier,
-    strict_invex_pair,
-    strict_kt_invex_pair,
+    certify_pair,
     theorem_crosscheck,
     validate_evaluated_pairs,
     validate_pair_verdict,
@@ -77,8 +73,8 @@ def same_domain_verdicts(a, b) -> bool:
 
 def pair(name, xbar, x, kind):
     p = SPLIT_INTERVAL if name == "split-interval" else fixture(name)
-    return pair_certifier(kind)(
-        evaluate(p, np.atleast_1d(xbar)), evaluate(p, np.atleast_1d(x))
+    return certify_pair(
+        evaluate(p, np.atleast_1d(xbar)), evaluate(p, np.atleast_1d(x)), kind
     )
 
 
@@ -183,7 +179,7 @@ def test_kt_descent_kernel_survives_rounding(kind):
     pbar = evaluate(problem, [-0.5, 1.0])
     assert pbar.active_indices == (0,)
     for x in ([-1.0, 0.0], [-0.5, -1.0]):
-        verdict = pair_certifier(kind)(pbar, evaluate(problem, x))
+        verdict = certify_pair(pbar, evaluate(problem, x), kind)
         assert verdict.holds
         assert validate_pair_verdict(problem, verdict) == []
 
@@ -215,7 +211,7 @@ def test_pair_rejects_points_from_different_problems():
     a = evaluate(fixture("cube"), [0.0])
     b = evaluate(fixture("convex-pair"), [0.0])
     with pytest.raises(ValueError):
-        invex_pair(a, b)
+        certify_pair(a, b, InvexityKind.INVEX)
 
 
 def test_validate_pair_verdict_catches_tampering():
@@ -355,7 +351,9 @@ def test_convex_quadratics_always_yield_kernels(a, b, xbar, x):
         constraints=(),
         box=((-2.0, 2.0),),
     )
-    verdict = invex_pair(evaluate(problem, [xbar]), evaluate(problem, [x]))
+    verdict = certify_pair(
+        evaluate(problem, [xbar]), evaluate(problem, [x]), InvexityKind.INVEX
+    )
     assert verdict.holds
     assert validate_pair_verdict(problem, verdict) == []
 
@@ -378,7 +376,9 @@ def test_strict_kernels_replay_for_strictly_convex_objectives(a, xbar, x):
         constraints=(),
         box=((-2.0, 2.0),),
     )
-    verdict = strict_invex_pair(evaluate(problem, [xbar]), evaluate(problem, [x]))
+    verdict = certify_pair(
+        evaluate(problem, [xbar]), evaluate(problem, [x]), InvexityKind.STRICT_INVEX
+    )
     assert verdict.holds
     assert verdict.kernel.margin > 0
     assert validate_pair_verdict(problem, verdict) == []
@@ -441,12 +441,11 @@ def assert_sweep_matches(problem, kind, sampler, reference):
         (tuple(v.xbar), tuple(v.x)) for v in failures
     ]
     reading = problem if kind.is_kt else without_constraints(problem)
-    certify = pair_certifier(kind)
     for got, want in zip(dv.failures, failures):
         assert got.kernel is None
         assert same_certificate(got.certificate, want.certificate)
         # the single-pair certifier gives the sweep's certificate
-        single = certify(evaluate(reading, got.xbar), evaluate(reading, got.x))
+        single = certify_pair(evaluate(reading, got.xbar), evaluate(reading, got.x), kind)
         assert same_certificate(single.certificate, got.certificate)
     for verdict in dv.kernels:
         assert validate_pair_verdict(reading, verdict) == []
@@ -496,14 +495,13 @@ def test_sweep_matches_pairwise_reference_on_random_polynomials(problem, kind):
         reference = [reference_pair(pbar, p, kind) for pbar, p in pairs]
     except (InfeasiblePointError, NumericalBreakdownError):
         reject()
-    certify = pair_certifier(kind)
     dv = certify_domain(problem, kind, sampler)
     assert dv.checked_pairs == len(pairs)
     assert dv.points_sampled == len(evaluated)
     singles = {}
     single_failures = []
     for (pbar, p), want in zip(pairs, reference):
-        got = certify(pbar, p)
+        got = certify_pair(pbar, p, kind)
         singles[(pbar.x.tobytes(), p.x.tobytes())] = got
         assert validate_evaluated_pair(pbar, p, got) == []
         if not got.holds:
@@ -538,11 +536,10 @@ def test_pair_certifier_matches_sweep_kernel_samples(name, kind, step):
     # `invexcheck pair` and a sweep decide a pair in the same passes
     problem = fixture(name)
     reading = problem if kind.is_kt else without_constraints(problem)
-    certify = pair_certifier(kind)
     dv = certify_domain(problem, kind, GridSampler(step))
     assert dv.kernels
     for sample in dv.kernels:
-        got = certify(evaluate(reading, sample.xbar), evaluate(reading, sample.x))
+        got = certify_pair(evaluate(reading, sample.xbar), evaluate(reading, sample.x), kind)
         assert got.kernel.eta.tobytes() == sample.kernel.eta.tobytes()
         assert float(got.kernel.margin).hex() == float(sample.kernel.margin).hex()
 

@@ -548,9 +548,9 @@ def test_cli_analyze_power_overflow_is_an_input_error(tmp_path, capsys):
 
 
 def test_cli_analyze_nan_multipliers_are_an_input_error(tmp_path, capsys):
-    # the simplex returns an all-zero λ at the KT nodes with x = -1; the
-    # residual check rejects the NaN that normalising it leaves, where the
-    # report once failed to serialize it
+    # stage 2 of the KT multipliers at the nodes with x = -1 leaves an
+    # artificial basic at 1; the simplex refuses that optimum, where it once
+    # returned an all-zero λ whose NaN weights the report failed to serialize
     path = tmp_path / "tilted.json"
     path.write_text(json.dumps({
         "name": "tilted-polynomial",
@@ -562,7 +562,7 @@ def test_cli_analyze_nan_multipliers_are_an_input_error(tmp_path, capsys):
     code = run_cli("analyze", str(path), "--grid-step", "0.5")
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("error: KT multiplier residual nan exceeds tolerance")
+    assert err.startswith("error: artificial variable left basic at 1.000e+00")
 
 
 def test_cli_analyze_malformed_json_reports_byte_offset(tmp_path, capsys):

@@ -79,7 +79,6 @@ def test_single_objective_weighting():
     assert sol.value == pytest.approx(-8.0)
     assert len(sol.minimizers) == 1
     assert sol.minimizers[0] == pytest.approx([-2.0])
-    assert sol.certified
     assert sol.grid_step == 0.05
 
 

@@ -15,13 +15,10 @@ from invexcheck.simplex import (
     VAR_FREE,
     VAR_NONNEG,
     DimensionMismatchError,
-    FarkasCertificate,
-    FeasiblePoint,
     LpProblem,
     LpStatus,
     NumericalBreakdownError,
     ToleranceConfig,
-    check_feasibility,
     solve_lp,
     validate_outcome,
 )
@@ -126,15 +123,29 @@ def test_duality_gap_on_optimal():
 
 
 def test_check_feasibility_both_branches():
-    got = check_feasibility(
-        np.array([[1.0]]), np.array([3.0]), (ROW_LE,), (VAR_NONNEG,)
+    # the zero-objective LP decides feasibility: a point, or a Farkas vector
+    got = solve_lp(lp([0.0], [[1.0]], [3.0]))
+    assert got.status is LpStatus.OPTIMAL
+    assert got.primal_solution[0] <= 3.0
+    got = solve_lp(lp([0.0], [[1.0]], [-3.0]))
+    assert got.status is LpStatus.INFEASIBLE
+    assert float(got.farkas_certificate @ np.array([-3.0])) < 0
+
+
+def test_basic_artificial_is_not_dropped_from_an_optimum():
+    # stage 2 of the KT multipliers of f = -2 - 1e-9 x + 1e-8 y, g = -2 y at
+    # (x, y) = (-1, 0), v = (λ, μ, t): phase 1 ends within tolerance, the
+    # drive-out judges the row -1e-9 λ = 0 redundant, and its artificial ends
+    # basic at 1; merging it away once gave an OPTIMAL v = 0 that breaks λ = 1
+    stage2 = lp(
+        [0.0, 0.0, 1.0],
+        [[-1e-9, 0.0, 0.0], [1e-8, -2.0, 0.0], [1.0, 0.0, 0.0],
+         [0.0, 1.0, 0.0], [1.0, 0.0, -1.0]],
+        [0.0, 0.0, 1.0, 5e-9, 0.0],
+        rows=(ROW_EQ, ROW_EQ, ROW_EQ, ROW_LE, ROW_LE),
     )
-    assert isinstance(got, FeasiblePoint)
-    got = check_feasibility(
-        np.array([[1.0]]), np.array([-3.0]), (ROW_LE,), (VAR_NONNEG,)
-    )
-    assert isinstance(got, FarkasCertificate)
-    assert float(got.y @ np.array([-3.0])) < 0
+    with pytest.raises(NumericalBreakdownError, match="artificial variable left basic"):
+        solve_lp(stage2)
 
 
 def test_dimension_errors():

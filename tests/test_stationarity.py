@@ -283,8 +283,8 @@ def tilted_polynomial_problems(draw):
     ),
     StationaryKind.VECTOR,
 )
-# the simplex drops an artificial in stage 2 and returns λ = 0 at x = -1,
-# which normalises to NaN: both scans must raise, not accept it
+# stage 2 at x = -1 ends with an artificial basic at 1, which the simplex
+# once dropped to return λ = 0: both scans must raise, not accept it
 @example(
     Problem(
         name="tilted-polynomial",
