@@ -11,7 +11,6 @@ disagreement (which signals an implementation bug, never bad input).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 
@@ -26,6 +25,7 @@ from .problems import (
     fixture,
     fixture_names,
     load_problem,
+    read_json,
 )
 from .report import (
     build_report,
@@ -250,14 +250,9 @@ def _cmd_alternative(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            report = json.load(handle)
+        report = read_json(args.report)
     except OSError as exc:
         raise ValueError(f"cannot read report: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"{args.report}: invalid JSON at byte {exc.pos}: {exc.msg}"
-        ) from None
     defects = verify_report(report)
     if defects:
         for defect in defects:

@@ -429,8 +429,8 @@ def problem_from_dict(data: dict) -> Problem:
     )
 
 
-def load_problem(path: str) -> Problem:
-    """Read a problem JSON file; fixture names are resolved by the CLI, not here.
+def read_json(path: str):
+    """The JSON value in the file at ``path``.
 
     An unreadable file raises OSError; malformed JSON raises ValueError
     naming the byte offset of the error.
@@ -438,10 +438,15 @@ def load_problem(path: str) -> Problem:
     with open(path, "r", encoding="utf-8") as handle:
         raw = handle.read()
     try:
-        data = json.loads(raw)
+        return json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at byte {exc.pos}: {exc.msg}") from None
-    return problem_from_dict(data)
+        at = len(raw[: exc.pos].encode("utf-8"))  # exc.pos counts characters
+        raise ValueError(f"{path}: invalid JSON at byte {at}: {exc.msg}") from None
+
+
+def load_problem(path: str) -> Problem:
+    """Read a problem JSON file (`read_json`); the CLI resolves fixture names."""
+    return problem_from_dict(read_json(path))
 
 
 def problem_to_dict(problem: Problem) -> dict:

@@ -449,11 +449,17 @@ class _Replay:
 def verify_report(report: dict) -> list[str]:
     """Independently replay every multiplier, kernel, and certificate.
 
-    Returns human-readable defect strings; an empty list means the report's
-    evidence checks out against the embedded problem at the recorded
-    tolerances. Each evidence group is checked with array operations on one
-    batch of evaluated points per problem variant.
+    Returns human-readable defect strings (only the missing or mistyped
+    parts, if any); an empty list means the report's evidence checks out
+    against the embedded problem at the recorded tolerances. Each evidence
+    group is checked with array operations on one batch per problem variant.
     """
+    if not isinstance(report, dict):
+        return ["report is not a JSON object"]
+    malformed = [defect for key, schema in _REPORT.items() if report.get(key) is not None
+                 for defect in _structure_defects([report[key]], schema, lambda i, key=key: key)]
+    if malformed:
+        return malformed
     try:
         problem = problem_from_dict(report["problem"])
     except (KeyError, ValueError) as exc:
@@ -475,9 +481,9 @@ def verify_report(report: dict) -> list[str]:
             first_use.append(points)
         return points.add(values)
 
-    critical = list(report.get("critical_points", ()))
-    kt = list(report.get("kt_points", ()))
-    runs = list(report.get("weighting_runs", ()))
+    critical = report.get("critical_points") or []
+    kt = report.get("kt_points") or []
+    runs = report.get("weighting_runs") or []
     pairs = _pair_entries(report)
     critical_x = add(replay[False], [entry["x"] for entry in critical])
     kt_x = add(replay[True], [entry["x"] for entry in kt])
@@ -495,50 +501,76 @@ def verify_report(report: dict) -> list[str]:
     for points in dict.fromkeys(first_use):
         points.evaluate()
 
-    defects = _critical_defects(critical, replay[False], critical_x, tol)
-    defects += _kt_defects(kt, replay[True], kt_x, tol)
+    defects = _stationary_defects(critical, replay[False], critical_x, tol, kt=False)
+    defects += _stationary_defects(kt, replay[True], kt_x, tol, kt=True)
     defects += _minimizer_defects(runs, replay[True], minimizer_x, tol)
     defects += _pair_defects(pairs, pair_x, problem, tol)
     defects += _derived_flag_defects(report)
     return defects
 
 
-def _critical_defects(entries: list, points: _Replay, added, tol) -> list[str]:
-    handle, misfits = added
-    s, n = points.problem.dimension, points.problem.n_objectives
-    flags = _Flags(len(entries))
-    lam, lam_misfits = _stack([entry["lam"] for entry in entries], (n,))
-    for k, found in misfits.items():
-        flags.misfit(k, f"critical_points[{k}].x", found, (s,))
-    for k, found in lam_misfits.items():
-        flags.misfit(k, f"critical_points[{k}].lam", found, (n,))
-    ok = flags.ok
-    if ok.any():
-        jac = points.batch.objective_jacobian[points.rows(handle)]
-        resid = np.abs((lam[:, None, :] @ jac)[:, 0]).max(axis=1)
-        flags.add(ok & (resid > tol.stationary), lambda k: (
-            f"critical point {entries[k]['x']}: residual {resid[k]:.3e}"))
-        invalid = (lam.min(axis=1) < -tol.strict) | (
-            np.abs(lam.sum(axis=1) - 1) > tol.strict
-        )
-        flags.add(ok & invalid, lambda k: (
-            f"critical point {entries[k]['x']}: weights invalid"))
-    return flags.lines()
+_PAIR = {"kind": None, "xbar": None, "x": None, "kernel?": {"eta": None, "margin": None},
+         "certificate?": {"lam": None, "violation": None}}
+#: The objects, arrays and keys that `verify_report` reads, by top-level part
+#: (each may be absent or null). An object lists its keys ("*": each key it
+#: has; "?": may be absent or null, which reads as empty); an array holds the
+#: schema of its entries; None is a value, checked by the replay.
+_REPORT = {
+    "critical_points": [{"x": None, "lam": None}],
+    "kt_points": [{"x": None, "lam": None, "mu": None, "active_indices": []}],
+    "weighting_runs": [{"lam": None, "minimizers": [], "value": None}],
+    "pair_verdicts": {"*": {"failures?": [_PAIR], "kernel_samples?": [_PAIR]}},
+    "crosscheck": {"checks?": [{"kernel_failures?": [_PAIR]}]},
+}
 
 
-def _kt_defects(entries: list, points: _Replay, added, tol) -> list[str]:
+def _structure_defects(values: list, schema, where) -> list[str]:
+    """Name each of ``values`` that does not fit ``schema``, by its path
+    ``where(i)``; one call checks a schema node across all the values."""
+    kind = list if isinstance(schema, list) else dict
+    fits = [i for i, value in enumerate(values) if isinstance(value, kind)]
+    defects = [f"{where(i)} is not a JSON {'array' if kind is list else 'object'}"
+               for i, value in enumerate(values) if not isinstance(value, kind)]
+    parts = []  # (schema, path format, [(value index, key or index)]) to check next
+    if kind is list and schema:
+        parts.append((schema[0], "{}[{}]", [(i, j) for i in fits for j in range(len(values[i]))]))
+    elif kind is dict:
+        required = {key for key in schema if key[-1] not in "?*"}
+        defects += [f"{where(i)}.{key} is missing" for i in fits
+                    if not values[i].keys() >= required
+                    for key in schema if key in required and key not in values[i]]
+        for key, inner in schema.items():
+            if key == "*":
+                parts.append((inner, "{}.{}", [(i, k) for i in fits for k in values[i]]))
+            elif inner is not None:  # an optional part that is null reads as absent
+                name = key.rstrip("?")
+                parts.append((inner, "{}.{}", [(i, name) for i in fits if name in values[i] and (
+                    key in required or values[i][name] is not None)]))
+    for inner, form, at in parts:
+        defects += _structure_defects(
+            [values[i][k] for i, k in at], inner,
+            lambda n, at=at, form=form: form.format(where(at[n][0]), at[n][1]))
+    return defects
+
+
+def _stationary_defects(entries: list, points: _Replay, added, tol, kt: bool) -> list[str]:
+    """Replay the critical points, or with ``kt`` the KT points, whose
+    feasibility, active set and μ are checked as well."""
     handle, misfits = added
     s, n = points.problem.dimension, points.problem.n_objectives
+    path, label = ("kt_points", "kt point") if kt else ("critical_points", "critical point")
     flags = _Flags(len(entries))
     for k, found in misfits.items():
-        flags.misfit(k, f"kt_points[{k}].x", found, (s,))
+        flags.misfit(k, f"{path}[{k}].x", found, (s,))
     ok = flags.ok
     if not ok.any():
         return flags.lines()
     batch, rows = points.batch, points.rows(handle)
-    flags.add(ok & ~batch.feasible[rows], lambda k: f"kt point {entries[k]['x']}: infeasible")
-    ok &= batch.feasible[rows]
-    groups = list(active_groups(batch.active[rows]))
+    groups = []
+    if kt:
+        flags.add(ok & ~batch.feasible[rows], lambda k: f"kt point {entries[k]['x']}: infeasible")
+        ok &= batch.feasible[rows]
+        groups = list(active_groups(batch.active[rows]))
     for indices, members in groups:
         indices = tuple(int(j) for j in indices)
         mismatch = [k for k in members[ok[members]]
@@ -548,7 +580,7 @@ def _kt_defects(entries: list, points: _Replay, added, tol) -> list[str]:
 
     lam, lam_misfits = _stack([entry["lam"] for entry in entries], (n,))
     for k, found in lam_misfits.items():
-        flags.misfit(k, f"kt_points[{k}].lam", found, (n,))
+        flags.misfit(k, f"{path}[{k}].lam", found, (n,))
     combo = (lam[:, None, :] @ batch.objective_jacobian[rows])[:, 0]
     mu_negative = np.zeros(len(entries), dtype=bool)
     for indices, members in groups:
@@ -568,7 +600,9 @@ def _kt_defects(entries: list, points: _Replay, added, tol) -> list[str]:
             mu_negative[members] = mu.min(axis=1) < -tol.strict
     resid = np.abs(combo).max(axis=1)
     flags.add(ok & (resid > tol.stationary), lambda k: (
-        f"kt point {entries[k]['x']}: residual {resid[k]:.3e}"))
+        f"{label} {entries[k]['x']}: residual {resid[k]:.3e}"))
+    invalid = (lam.min(axis=1) < -tol.strict) | (np.abs(lam.sum(axis=1) - 1) > tol.strict)
+    flags.add(ok & invalid, lambda k: f"{label} {entries[k]['x']}: weights invalid")
     flags.add(ok & mu_negative, lambda k: (
         f"kt point {entries[k]['x']}: negative constraint multiplier"))
     return flags.lines()
@@ -615,26 +649,25 @@ def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
 
 
 def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
-    """(path, KT variant, item, label) of every recorded pair verdict."""
+    """(path, KT variant, item, label) of every recorded pair verdict; the
+    label is a template over the item's keys, filled only for a defect."""
     pairs = []
     # the pairs under an unknown kind are skipped; `_derived_flag_defects` names it
-    for kind_name, verdict_data in report.get("pair_verdicts", {}).items():
+    for kind_name, verdict_data in (report.get("pair_verdicts") or {}).items():
         kind = _kind(kind_name)
         if kind is None:
             continue
+        label = f"{kind_name} pair (xbar={{xbar}}, x={{x}})"
         for group in ("failures", "kernel_samples"):
-            for i, item in enumerate(verdict_data.get(group, ())):
-                pairs.append((
-                    f"pair_verdicts.{kind_name}.{group}[{i}]",
-                    kind.is_kt,
-                    item,
-                    f"{kind_name} pair (xbar={item['xbar']}, x={item['x']})",
-                ))
-    for c, check in enumerate(report.get("crosscheck", {}).get("checks", ())):
+            for i, item in enumerate(verdict_data.get(group) or ()):
+                pairs.append(
+                    (f"pair_verdicts.{kind_name}.{group}[{i}]", kind.is_kt, item, label)
+                )
+    for c, check in enumerate((report.get("crosscheck") or {}).get("checks") or ()):
         kind = _kind(check.get("kind"))
         if kind is None:
             continue
-        for i, item in enumerate(check.get("kernel_failures", ())):
+        for i, item in enumerate(check.get("kernel_failures") or ()):
             pairs.append((
                 f"crosscheck.checks[{c}].kernel_failures[{i}]",
                 kind.is_kt,
@@ -728,7 +761,7 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
         )
         for k, issues in zip(group, problems):
             for issue in issues:
-                flags.add([k], lambda k: f"{pairs[k][3]}: {issue}")
+                flags.add([k], lambda k: f"{pairs[k][3].format(**pairs[k][2])}: {issue}")
     return flags.lines()
 
 
@@ -736,7 +769,7 @@ def _derived_flag_defects(report: dict) -> list[str]:
     """Recompute the booleans and counts a report derives from its own
     lists, and name each kind that is not an `InvexityKind`."""
     defects = []
-    for kind_name, verdict in report.get("pair_verdicts", {}).items():
+    for kind_name, verdict in (report.get("pair_verdicts") or {}).items():
         if _kind(kind_name) is None:
             defects.append(f"pair_verdicts.{kind_name} is not a known kind")
         if verdict.get("all_pairs_kernel") != (not verdict.get("failures")):
@@ -746,7 +779,7 @@ def _derived_flag_defects(report: dict) -> list[str]:
     crosscheck = report.get("crosscheck")
     if crosscheck is None:
         return defects
-    checks = crosscheck.get("checks", ())
+    checks = crosscheck.get("checks") or ()
     for c, check in enumerate(checks):
         label = f"crosscheck {check.get('kind')}"
         kind = _kind(check.get("kind"))
@@ -756,7 +789,7 @@ def _derived_flag_defects(report: dict) -> list[str]:
             )
         else:
             stationary = "kt_points" if kind.is_kt else "critical_points"
-            count = len(report.get(stationary, ()))
+            count = len(report.get(stationary) or ())
             if check.get("stationary_count") != count:
                 defects.append(
                     f"{label}: stationary_count {check.get('stationary_count')!r} "

@@ -3,9 +3,11 @@
 A point is *vector critical* when some nonzero nonnegative weight vector
 lies in the left null space of the objective jacobian; it is *KT stationary*
 when the weighted objective gradients can be balanced by nonnegative
-multipliers on the active constraint gradients. Both conditions are linear
-feasibility questions, solved here with the in-house simplex so every
-returned multiplier set carries an exactly replayable residual.
+multipliers on the active constraint gradients. With no active constraint
+the two coincide, so `stationary_multipliers` answers both with one
+min-max weight LP; only a KT point with active constraints first minimizes
+Σμ. The LPs run on the in-house simplex, so every returned multiplier set
+carries an exactly replayable residual.
 
 Grid scans solve those LPs only where 0 may lie in conv{∇fᵢ(x)}. With
 one or two objectives the point p of that hull nearest to 0 has a closed
@@ -18,9 +20,9 @@ tolerance. KT scans apply this only at nodes with no active constraint.
 At a node where every entry of Jf(x) is exactly 0 and no constraint is
 active, with one or two objectives, the scan takes the result without an
 LP: every simplex weight balances, the min-max weight is uniform, λ = 1/n
-with residual 0, and the KT kind has no μ. The LP returns exactly these
-bytes there. With three or more objectives it rounds its uniform weight
-differently (for n = 3, (0x1.5555555555556p-2, 0x1.5555555555556p-2,
+with residual 0, and μ is empty. The LP returns exactly these bytes there.
+With three or more objectives it rounds its uniform weight differently
+(for n = 3, (0x1.5555555555556p-2, 0x1.5555555555556p-2,
 0x1.5555555555555p-2)), so such nodes keep the LP. Nodes with active
 constraints, problems with three or more objectives and every other node
 that survives the screen go to the LP, so scans find exactly the points
@@ -63,16 +65,10 @@ from .simplex import (
 
 
 @dataclass(frozen=True)
-class CriticalMultipliers:
-    """Weights λ with λ ≧ 0, Σλ = 1, and λ·Jf(x) ≈ 0."""
-
-    lam: np.ndarray
-    residual: float
-
-
-@dataclass(frozen=True)
-class KtMultipliers:
-    """Weights λ plus active-constraint multipliers μ balancing the gradients."""
+class Multipliers:
+    """Weights λ ≧ 0 with Σλ = 1, and multipliers μ ≧ 0 on the active
+    constraints, with λ·Jf(x) + μ·Jg_A(x) ≈ 0; for the vector kind, and at
+    a KT point with no active constraint, μ and ``active_indices`` are empty."""
 
     lam: np.ndarray
     mu: np.ndarray                  # aligned with active_indices
@@ -89,30 +85,25 @@ class StationaryKind(Enum):
 class StationaryPoint:
     x: np.ndarray
     kind: StationaryKind
-    multipliers: CriticalMultipliers | KtMultipliers
+    multipliers: Multipliers
 
 
-def multiplier_lp(
-    ep: EvaluatedPoint, with_active: bool, objective: np.ndarray | None = None
-) -> LpProblem:
+def multiplier_lp(ep: EvaluatedPoint, with_active: bool, objective: np.ndarray) -> LpProblem:
     """min objective·v over Λ(x) = {λ ≧ 0, Σλ = 1, μ ≧ 0 : λᵀJf + μᵀJg_A = 0}.
 
     Variables are v = (λ, μ), with μ on the active constraints when
-    ``with_active`` and empty otherwise; the objective defaults to zero.
+    ``with_active`` and empty otherwise.
     """
     n, s = ep.objective_jacobian.shape
     jac_active = ep.active_jacobian if with_active else np.zeros((0, s))
     r = jac_active.shape[0]
-    eq = np.zeros((s + 1, n + r))
-    eq[:s, :n] = ep.objective_jacobian.T
-    eq[:s, n:] = jac_active.T
-    eq[s, :n] = 1.0
-    rhs = np.zeros(s + 1)
-    rhs[s] = 1.0
     return LpProblem(
-        objective=np.zeros(n + r) if objective is None else objective,
-        constraint_matrix=eq,
-        rhs=rhs,
+        objective=objective,
+        constraint_matrix=np.vstack([
+            np.hstack([ep.objective_jacobian.T, jac_active.T]),
+            np.concatenate([np.ones(n), np.zeros(r)]),
+        ]),
+        rhs=np.eye(1, s + 1, s)[0],
         row_kinds=(ROW_EQ,) * (s + 1),
         variable_bounds=(VAR_NONNEG,) * (n + r),
     )
@@ -129,30 +120,16 @@ def _min_max_weight(
     infeasible.
     """
     rows_eq, cols = system.constraint_matrix.shape
-    extra = 1 if pin is not None else 0
-    total_rows = rows_eq + extra + n
-    matrix = np.zeros((total_rows, cols + 1))
-    rhs = np.zeros(total_rows)
-    matrix[:rows_eq, :cols] = system.constraint_matrix
-    rhs[:rows_eq] = system.rhs
-    kinds = [ROW_EQ] * rows_eq
-    at = rows_eq
-    if pin is not None:
-        matrix[at, :cols] = system.objective
-        rhs[at] = pin
-        kinds.append(ROW_LE)
-        at += 1
-    for i in range(n):
-        matrix[at + i, i] = 1.0
-        matrix[at + i, cols] = -1.0
-        kinds.append(ROW_LE)
-    objective = np.zeros(cols + 1)
-    objective[cols] = 1.0
+    pinned = [] if pin is None else [np.append(system.objective, 0.0)]
     lp = LpProblem(
-        objective=objective,
-        constraint_matrix=matrix,
-        rhs=rhs,
-        row_kinds=tuple(kinds),
+        objective=np.eye(1, cols + 1, cols)[0],
+        constraint_matrix=np.vstack([
+            np.hstack([system.constraint_matrix, np.zeros((rows_eq, 1))]),
+            *pinned,
+            np.hstack([np.eye(n, cols), -np.ones((n, 1))]),
+        ]),
+        rhs=np.concatenate([system.rhs, [pin] * len(pinned), np.zeros(n)]),
+        row_kinds=(ROW_EQ,) * rows_eq + (ROW_LE,) * (len(pinned) + n),
         variable_bounds=(VAR_NONNEG,) * (cols + 1),
     )
     outcome = solve_lp(lp, tol)
@@ -165,76 +142,59 @@ def _min_max_weight(
     return outcome.primal_solution[:cols]
 
 
-def _canonical_weights(
-    v: np.ndarray, ep: EvaluatedPoint, with_active: bool, tol: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(λ, μ, residual) from an LP solution v = (λ, μ): both clipped to ≧ 0,
-    λ scaled to sum to one, and the stationarity residual checked.
-
-    The check also rejects a NaN residual, which a λ block that the LP
-    returned all zero leaves after the division.
-    """
-    n = ep.objective_jacobian.shape[0]
-    lam = np.clip(v[:n], 0.0, None)
-    mu = np.clip(v[n:], 0.0, None)
-    with np.errstate(invalid="ignore"):
-        lam /= lam.sum()
-    combination = lam @ ep.objective_jacobian
-    if with_active:
-        combination = combination + mu @ ep.active_jacobian
-    residual = float(np.max(np.abs(combination)))
-    if not residual <= tol.stationary:
-        raise NumericalBreakdownError(
-            f"{'KT' if with_active else 'critical'} multiplier residual {residual:.3e} exceeds tolerance"
-        )
-    return lam, mu, residual
-
-
-def critical_multipliers(
-    ep: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> CriticalMultipliers | None:
-    """Recover weights proving ``ep`` vector critical, or None."""
-    n = ep.objective_jacobian.shape[0]
-    v = _min_max_weight(multiplier_lp(ep, False), n, None, tol)
-    if v is None:
-        return None
-    lam, _, residual = _canonical_weights(v, ep, False, tol)
-    return CriticalMultipliers(lam=lam, residual=residual)
-
-
-def kt_multipliers(
-    ep: EvaluatedPoint, tol: ToleranceConfig = DEFAULT_TOL
-) -> KtMultipliers | None:
-    """Recover (λ, μ) proving ``ep`` KT stationary, or None.
+def stationary_multipliers(
+    ep: EvaluatedPoint, kind: StationaryKind, tol: ToleranceConfig = DEFAULT_TOL
+) -> Multipliers | None:
+    """Recover (λ, μ) proving ``ep`` stationary of ``kind``, or None.
 
     μ lives only on the active set (zero elsewhere by construction, so
-    complementary slackness is automatic). Requires a feasible point.
+    complementary slackness is automatic). The KT kind requires a feasible
+    point.
     """
-    if not ep.feasible:
+    if kind is StationaryKind.KT and not ep.feasible:
         raise InfeasiblePointError(
             f"KT multipliers need a feasible point; max g = {ep.constraint_values.max():.3e}"
         )
+    active = ep.active_indices if kind is StationaryKind.KT else ()
     n = ep.objective_jacobian.shape[0]
-    r = len(ep.active_indices)
-    # stage 1: minimize total constraint multiplier subject to stationarity
-    system = multiplier_lp(ep, True, np.concatenate([np.zeros(n), np.ones(r)]))
-    outcome = solve_lp(system, tol)
-    if outcome.status is LpStatus.INFEASIBLE:
-        return None
-    if outcome.status is not LpStatus.OPTIMAL:
-        raise NumericalBreakdownError(
-            f"KT stage-1 LP ended {outcome.status.value}"
-        )
-    # stage 2: among minimal-Σμ solutions, minimize the largest weight
-    v = _min_max_weight(system, n, float(outcome.objective_value), tol)
-    # the stage-1 optimum meets the pin, yet the simplex can misread stage 2:
-    # None here, or an all-zero λ that `_canonical_weights` rejects
-    if v is None:
-        raise NumericalBreakdownError("KT stage-2 LP infeasible after stage 1")
-    lam, mu, residual = _canonical_weights(v, ep, True, tol)
-    return KtMultipliers(
-        lam=lam, mu=mu, active_indices=ep.active_indices, residual=residual
+    system = multiplier_lp(
+        ep, bool(active), np.concatenate([np.zeros(n), np.ones(len(active))])
     )
+    pin = None
+    if active:
+        # stage 1: minimize total constraint multiplier subject to stationarity
+        outcome = solve_lp(system, tol)
+        if outcome.status is LpStatus.INFEASIBLE:
+            return None
+        if outcome.status is not LpStatus.OPTIMAL:
+            raise NumericalBreakdownError(
+                f"KT stage-1 LP ended {outcome.status.value}"
+            )
+        pin = float(outcome.objective_value)
+    # minimize the largest weight: over every solution, or (stage 2) over
+    # the minimal-Σμ ones
+    v = _min_max_weight(system, n, pin, tol)
+    if v is None:
+        if not active:
+            return None
+        # the stage-1 optimum meets the pin, yet the simplex can misread
+        # stage 2: None here, or an all-zero λ that the residual check rejects
+        raise NumericalBreakdownError("KT stage-2 LP infeasible after stage 1")
+    # canonical form: both blocks clipped to ≧ 0 and λ scaled to sum to one;
+    # the residual check also rejects the NaN that an all-zero λ leaves
+    lam, mu = np.clip(v[:n], 0.0, None), np.clip(v[n:], 0.0, None)
+    with np.errstate(invalid="ignore"):
+        lam /= lam.sum()
+    combination = lam @ ep.objective_jacobian
+    if active:
+        combination = combination + mu @ ep.active_jacobian
+    residual = float(np.max(np.abs(combination)))
+    if not residual <= tol.stationary:
+        label = "KT" if kind is StationaryKind.KT else "critical"
+        raise NumericalBreakdownError(
+            f"{label} multiplier residual {residual:.3e} exceeds tolerance"
+        )
+    return Multipliers(lam=lam, mu=mu, active_indices=active, residual=residual)
 
 
 def _ruled_out(jacobians: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
@@ -291,27 +251,18 @@ def _scan(
     flat = inactive & (n <= 2) & ~jacobians.any(axis=(1, 2))
     found: list[StationaryPoint] = []
     for row, closed_form in zip(rows[~ruled_out], flat[~ruled_out]):
-        x = batch.x[row]
         if closed_form:
             # the LP's answer at a flat node, bit for bit (module docstring)
             lam = np.full(n, 1.0 / n)
             lam /= lam.sum()
-            if kind is StationaryKind.KT:
-                mult = KtMultipliers(
-                    lam=lam, mu=np.empty(0), active_indices=(), residual=0.0
-                )
-            else:
-                mult = CriticalMultipliers(lam=lam, residual=0.0)
-        elif kind is StationaryKind.KT:
-            mult = kt_multipliers(batch.point(row), tol)
+            mult = Multipliers(lam=lam, mu=np.empty(0), active_indices=(), residual=0.0)
         else:
-            mult = critical_multipliers(batch.point(row), tol)
+            mult = stationary_multipliers(batch.point(row), kind, tol)
         if mult is not None:
             # shared by every caller of one analysis: hand out read-only arrays
-            mu = (mult.mu,) if kind is StationaryKind.KT else ()
-            for array in (mult.lam, *mu):
-                array.flags.writeable = False
-            found.append(StationaryPoint(x=x, kind=kind, multipliers=mult))
+            mult.lam.flags.writeable = False
+            mult.mu.flags.writeable = False
+            found.append(StationaryPoint(x=batch.x[row], kind=kind, multipliers=mult))
     return tuple(found)
 
 

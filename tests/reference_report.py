@@ -266,6 +266,8 @@ def reference_verify_report(report: dict) -> list[str]:
         resid = float(np.max(np.abs(combo)))
         if resid > tol.stationary:
             defects.append(f"kt point {entry['x']}: residual {resid:.3e}")
+        if float(lam.min()) < -tol.strict or abs(float(lam.sum()) - 1) > tol.strict:
+            defects.append(f"kt point {entry['x']}: weights invalid")
         if mu.size and float(mu.min()) < -tol.strict:
             defects.append(f"kt point {entry['x']}: negative constraint multiplier")
 

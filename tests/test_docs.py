@@ -36,6 +36,15 @@ def test_readme_names_resolve():
         assert "analysis" in inspect.signature(getattr(ic, name)).parameters, name
 
 
+def test_all_names_resolve():
+    missing = [name for name in ic.__all__ if not hasattr(ic, name)]
+    assert missing == []
+    assert len(set(ic.__all__)) == len(ic.__all__)
+    namespace = {}
+    exec("from invexcheck import *", namespace)
+    assert set(ic.__all__) <= set(namespace)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -46,7 +46,7 @@ from invexcheck.scalarization import (
 from invexcheck.report import canonical_json, domain_verdict_to_dict
 from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, ToleranceConfig
 from invexcheck.stationarity import (
-    CriticalMultipliers,
+    Multipliers,
     StationaryKind,
     StationaryPoint,
     scan_critical_points,
@@ -639,7 +639,9 @@ def test_batched_grading_shares_weights_like_per_point_reference(problem, data):
         StationaryPoint(
             x=nodes[row],
             kind=StationaryKind.VECTOR,
-            multipliers=CriticalMultipliers(lam=np.array(lam), residual=0.0),
+            multipliers=Multipliers(
+                lam=np.array(lam), mu=np.empty(0), active_indices=(), residual=0.0
+            ),
         )
         for row, lam in zip(rows, weights)
     )

@@ -467,6 +467,49 @@ def test_verify_report_names_unknown_kinds(path, value, defect):
     assert verify_report(report) == [defect]
 
 
+@pytest.fixture(scope="module")
+def cube_wire():
+    """The report of `analyze cube --grid-step 0.25`, as JSON text."""
+    return canonical_json(build_report(fixture("cube"), grid_step=0.25))
+
+
+def _drop(*path):
+    """An edit that deletes the key at ``path``."""
+    def edit(report):
+        node = report
+        for step in path[:-1]:
+            node = node[step]
+        del node[path[-1]]
+        return report
+    return edit
+
+
+_MALFORMED = [
+    (lambda r: [], "report is not a JSON object"),
+    (lambda r: {**r, "critical_points": [1]}, "critical_points[0] is not a JSON object"),
+    (_drop("critical_points", 0, "x"), "critical_points[0].x is missing"),
+    (_drop("kt_points", 0, "mu"), "kt_points[0].mu is missing"),
+    (lambda r: {**r, "weighting_runs": "abc"}, "weighting_runs is not a JSON array"),
+    (lambda r: {**r, "pair_verdicts": []}, "pair_verdicts is not a JSON object"),
+    (lambda r: {**r, "crosscheck": []}, "crosscheck is not a JSON object"),
+    (_drop("pair_verdicts", "invex", "failures", 0, "x"),
+     "pair_verdicts.invex.failures[0].x is missing"),
+]
+
+
+@pytest.mark.parametrize("edit,defect", _MALFORMED, ids=[d for _, d in _MALFORMED])
+def test_verify_report_names_malformed_structure(cube_wire, edit, defect):
+    # each of these edits stopped the replay with a Python traceback
+    assert verify_report(edit(json.loads(cube_wire))) == [defect]
+
+
+def test_verify_report_checks_kt_weights(cube_wire):
+    report = json.loads(cube_wire)
+    assert len(report["kt_points"]) == 1
+    report["kt_points"][0].update(x=[1.5], lam=[0.0])
+    assert verify_report(report) == ["kt point [1.5]: weights invalid"]
+
+
 @pytest.mark.parametrize("name,variants", [("two-var-convex", 2), ("paper-example-2.1", 1)])
 def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, variants):
     from invexcheck import problems, report as report_module
@@ -739,6 +782,23 @@ def test_cli_verify_recomputes_derived_flags(tmp_path, capsys):
     assert code == 1
     assert "all_pairs_kernel" in err
     assert "crosscheck: agreement" in err
+
+
+def test_cli_verify_missing_report(tmp_path, capsys):
+    path = tmp_path / "absent.json"
+    assert run_cli("verify", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read report: ")
+    assert "absent.json" in err
+
+
+def test_cli_verify_malformed_report(tmp_path, capsys):
+    # the offset counts the two bytes of the é
+    path = tmp_path / "broken.json"
+    path.write_text('{"problem_name": "\u00e9", "problem": ', encoding="utf-8")
+    assert run_cli("verify", str(path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: invalid JSON at byte 34: Expecting value\n"
 
 
 _NEGATE = object()

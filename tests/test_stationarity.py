@@ -21,17 +21,18 @@ from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, solve_lp
 from invexcheck.stationarity import (
     StationaryKind,
     StationaryPoint,
-    critical_multipliers,
-    kt_multipliers,
     scan_critical_points,
+    stationary_multipliers,
 )
+
+VECTOR, KT = StationaryKind.VECTOR, StationaryKind.KT
 
 
 def test_uniform_weights_at_zero_jacobian():
     # both objective gradients vanish on the flat stretch, so the canonical
     # (min-max) weight vector is uniform
     ep = evaluate(fixture("paper-example-2.1"), [0.0])
-    got = critical_multipliers(ep)
+    got = stationary_multipliers(ep, VECTOR)
     assert got is not None
     assert got.lam == pytest.approx([0.5, 0.5])
     assert got.residual <= 1e-12
@@ -41,21 +42,21 @@ def test_unique_weights_are_recovered_exactly():
     # gradients (2x, 2(x-1)) balance only at lam = (1-x, x)
     p = fixture("convex-pair")
     for x in (0.25, 0.5, 0.75):
-        got = critical_multipliers(evaluate(p, [x]))
+        got = stationary_multipliers(evaluate(p, [x]), VECTOR)
         assert got is not None
         assert got.lam == pytest.approx([1.0 - x, x])
 
 
 def test_noncritical_point_returns_none():
-    assert critical_multipliers(evaluate(fixture("cube"), [1.0])) is None
-    assert critical_multipliers(evaluate(fixture("convex-pair"), [2.0])) is None
+    assert stationary_multipliers(evaluate(fixture("cube"), [1.0]), VECTOR) is None
+    assert stationary_multipliers(evaluate(fixture("convex-pair"), [2.0]), VECTOR) is None
 
 
 def test_kt_multipliers_tie_break_minimizes_constraint_weight():
     # at x = 0 the balance lam1 = mu admits a one-parameter family; the
     # canonical answer drives mu (hence lam1) to zero
     ep = evaluate(fixture("kt-linear-quad"), [0.0])
-    got = kt_multipliers(ep)
+    got = stationary_multipliers(ep, KT)
     assert got is not None
     assert got.lam == pytest.approx([0.0, 1.0])
     assert got.mu == pytest.approx([0.0])
@@ -65,7 +66,7 @@ def test_kt_multipliers_tie_break_minimizes_constraint_weight():
 
 def test_kt_multipliers_inactive_constraint():
     ep = evaluate(fixture("two-var-convex"), [0.0, 0.0])
-    got = kt_multipliers(ep)
+    got = stationary_multipliers(ep, KT)
     assert got is not None
     assert got.lam == pytest.approx([1.0, 0.0])
     assert got.active_indices == ()
@@ -75,12 +76,12 @@ def test_kt_multipliers_inactive_constraint():
 def test_kt_multipliers_requires_feasibility():
     ep = evaluate(fixture("kt-linear-quad"), [-1.0])
     with pytest.raises(InfeasiblePointError):
-        kt_multipliers(ep)
+        stationary_multipliers(ep, KT)
 
 
 def test_kt_absent_when_gradients_cannot_balance():
     # interior x > 0: lam1 + 2x lam2 > 0 for any simplex lam, mu = 0
-    assert kt_multipliers(evaluate(fixture("kt-linear-quad"), [1.0])) is None
+    assert stationary_multipliers(evaluate(fixture("kt-linear-quad"), [1.0]), KT) is None
 
 
 def test_critical_scan_recovers_flat_stretch():
@@ -176,6 +177,31 @@ def test_scanned_points_cannot_be_rebound():
     assert again.x.tolist() == [0.0]
 
 
+def test_kt_multipliers_without_active_constraints_are_the_vector_ones():
+    # no constraint, so every node's KT multipliers answer the vector
+    # question; the KT λ once came from its own LP and differed in the last
+    # bit at (0.25, -0.75)
+    p = Problem(
+        name="three-objectives",
+        variables=("x", "y"),
+        objectives=(
+            "(0.5) * x^1 + (1.0) * x^3 + (-1.0) * y^3",
+            "(-2.0) * x^2 * y^2 + (-0.5) + (-2.0) * y^1",
+            "(-1.5) * y^2 + (0.5) * x^3",
+        ),
+        constraints=(),
+        box=((-1.0, 1.0), (-1.0, 1.0)),
+    )
+    critical = scan_critical_points(p, 0.25, VECTOR)
+    kt = scan_critical_points(p, 0.25, KT)
+    assert [0.25, -0.75] in [sp.x.tolist() for sp in critical]
+    assert len(critical) == len(kt) == 17
+    for a, b in zip(critical, kt):
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.multipliers.lam.tobytes() == b.multipliers.lam.tobytes()
+        assert b.multipliers.mu.size == 0 and b.multipliers.active_indices == ()
+
+
 def reference_scan(problem, grid_step, kind, tol=DEFAULT_TOL):
     """Reference scan: one multiplier LP at every (feasible, for KT) node.
 
@@ -187,12 +213,9 @@ def reference_scan(problem, grid_step, kind, tol=DEFAULT_TOL):
     found = []
     for node in grid_points(problem, grid_step):
         ep = evaluate(problem, node, tol)
-        if kind is StationaryKind.KT:
-            if not ep.feasible:
-                continue
-            mult = kt_multipliers(ep, tol)
-        else:
-            mult = critical_multipliers(ep, tol)
+        if kind is StationaryKind.KT and not ep.feasible:
+            continue
+        mult = stationary_multipliers(ep, kind, tol)
         if mult is not None:
             found.append(StationaryPoint(x=ep.x, kind=kind, multipliers=mult))
     return tuple(found)
@@ -206,10 +229,9 @@ def assert_same_points(got, want):
         assert a.multipliers.lam.tobytes() == b.multipliers.lam.tobytes()
         assert a.multipliers.lam.dtype == b.multipliers.lam.dtype
         assert a.multipliers.residual == b.multipliers.residual
-        if b.kind is StationaryKind.KT:
-            assert a.multipliers.mu.tobytes() == b.multipliers.mu.tobytes()
-            assert a.multipliers.mu.dtype == b.multipliers.mu.dtype
-            assert a.multipliers.active_indices == b.multipliers.active_indices
+        assert a.multipliers.mu.tobytes() == b.multipliers.mu.tobytes()
+        assert a.multipliers.mu.dtype == b.multipliers.mu.dtype
+        assert a.multipliers.active_indices == b.multipliers.active_indices
 
 
 # two-var-convex only at a coarse step: its reference scan costs one LP per
