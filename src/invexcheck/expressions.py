@@ -456,137 +456,3 @@ def forward(exprs, points, gradient: bool = True) -> tuple[np.ndarray, np.ndarra
         _, _, message, node = min(f for f in state.failures if row in f[1])
         raise DomainError(message, node)
     return values, jacobian
-
-
-@dataclass
-class SmoothnessViolation:
-    x: np.ndarray
-    deviation: float
-    note: str
-
-
-@dataclass
-class SmoothnessReport:
-    violations: list[SmoothnessViolation]
-    samples_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-_FD_STEP = 1e-6
-_SEAM_OFFSET = 1e-5
-_SEAM_FD_STEP = 2e-5  # straddles the seam from the offset samples
-_REL_THRESHOLD = 1e-4
-_SMOOTHNESS_SEED = 724212
-
-
-def _fd_deviation(expr: Expr, x: np.ndarray, step: float) -> float:
-    """Largest relative gap between the gradient and central differences."""
-    ad = forward((expr,), x[None])[1][0, 0]
-    shifted = np.repeat(x[None], 2 * x.size, axis=0)  # rows x + h e_i, x - h e_i, ...
-    shifted[2 * np.arange(x.size), np.arange(x.size)] += step
-    shifted[2 * np.arange(x.size) + 1, np.arange(x.size)] -= step
-    values = forward((expr,), shifted, gradient=False)[0][:, 0]
-    fd = (values[0::2] - values[1::2]) / (2.0 * step)
-    return float(np.max(np.abs(ad - fd) / np.maximum(1.0, np.abs(fd)))) if x.size else 0.0
-
-
-def _seam_generators(node: Expr, acc: list[Expr]) -> None:
-    """Collect expressions whose zero crossings are potential kinks."""
-    if isinstance(node, Piecewise):
-        for cond, value in node.branches:
-            acc.append(BinOp("-", cond.lhs, cond.rhs))
-            _seam_generators(cond.lhs, acc)
-            _seam_generators(cond.rhs, acc)
-            _seam_generators(value, acc)
-        _seam_generators(node.default, acc)
-    elif isinstance(node, Call):
-        if node.func == "abs":
-            acc.append(node.arg)
-        _seam_generators(node.arg, acc)
-    elif isinstance(node, Neg):
-        _seam_generators(node.arg, acc)
-    elif isinstance(node, BinOp):
-        _seam_generators(node.left, acc)
-        _seam_generators(node.right, acc)
-    elif isinstance(node, Pow):
-        _seam_generators(node.base, acc)
-
-
-def _locate_seams_1d(expr: Expr, lo: float, hi: float) -> list[float]:
-    generators: list[Expr] = []
-    _seam_generators(expr, generators)
-    seams: list[float] = []
-    if not generators:
-        return seams
-    grid = np.linspace(lo, hi, 2048)
-    for gen in generators:
-        try:
-            values = forward((gen,), grid[:, None], gradient=False)[0][:, 0]
-        except DomainError:
-            continue
-        signs = np.sign(values)
-        for i in range(len(grid) - 1):
-            if signs[i] == 0.0:
-                seams.append(float(grid[i]))
-            elif signs[i] * signs[i + 1] < 0.0:
-                a, b = float(grid[i]), float(grid[i + 1])
-                for _ in range(80):
-                    mid = 0.5 * (a + b)
-                    fm = forward((gen,), np.array([[mid]]), gradient=False)[0][0, 0]
-                    if fm == 0.0:
-                        a = b = mid
-                        break
-                    if np.sign(fm) == signs[i]:
-                        a = mid
-                    else:
-                        b = mid
-                seams.append(0.5 * (a + b))
-    seams.sort()
-    deduped: list[float] = []
-    for s in seams:
-        if not deduped or s - deduped[-1] > 1e-10:
-            deduped.append(s)
-    return deduped
-
-
-def validate_smoothness(expr: Expr, box: list[tuple[float, float]], samples: int) -> SmoothnessReport:
-    """Compare dual-number gradients to central finite differences over the box.
-
-    Regular samples use step 1e-6; near every piecewise condition boundary and
-    abs() argument crossing, extra samples at the seam +/- 1e-5 use a step wide
-    enough to straddle the seam, which is what exposes genuine kinks. A sample
-    is reported when the relative deviation exceeds 1e-4.
-    """
-    box = [(float(lo), float(hi)) for lo, hi in box]
-    dims = len(box)
-    inset = max(1e-9, _FD_STEP)
-    points: list[np.ndarray] = []
-    if dims == 1:
-        lo, hi = box[0]
-        points = [np.array([t]) for t in np.linspace(lo + inset, hi - inset, samples)]
-    else:
-        rng = np.random.default_rng(_SMOOTHNESS_SEED)
-        lows = np.array([lo for lo, _ in box]) + inset
-        highs = np.array([hi for _, hi in box]) - inset
-        points = [rng.uniform(lows, highs) for _ in range(samples)]
-    checks = [(x, _FD_STEP, "gradient/finite-difference mismatch") for x in points]
-    if dims == 1:
-        lo, hi = box[0]
-        for seam in _locate_seams_1d(expr, lo, hi):
-            for t in (seam - _SEAM_OFFSET, seam + _SEAM_OFFSET):
-                if lo + _SEAM_FD_STEP <= t <= hi - _SEAM_FD_STEP:
-                    note = f"kink detected near seam at {seam:.6g}"
-                    checks.append((np.array([t]), _SEAM_FD_STEP, note))
-    violations: list[SmoothnessViolation] = []
-    for x, step, note in checks:
-        try:
-            dev = _fd_deviation(expr, x, step)
-        except DomainError as exc:
-            violations.append(SmoothnessViolation(x, math.inf, f"evaluation failed: {exc}"))
-            continue
-        if dev > _REL_THRESHOLD:
-            violations.append(SmoothnessViolation(x, dev, note))
-    return SmoothnessReport(violations=violations, samples_checked=len(checks))

@@ -415,18 +415,22 @@ def problem_from_dict(data: dict) -> Problem:
     for key in required:
         if key not in data:
             raise ValueError(f"problem file missing required key {key!r}")
+    if not isinstance(data["name"], str):
+        raise ValueError('"name" must be a string')
+    data = {"constraints": [], **data}
+    for key in ("variables", "objectives", "constraints"):
+        if not isinstance(data[key], list) or not all(isinstance(e, str) for e in data[key]):
+            raise ValueError(f'"{key}" must be an array of strings')
     box = data["box"]
     if not isinstance(box, list) or any(
-        not isinstance(iv, list) or len(iv) != 2 for iv in box
+        not isinstance(iv, list) or len(iv) != 2
+        or not all(
+            isinstance(end, (int, float)) and not isinstance(end, bool) for end in iv
+        )
+        for iv in box
     ):
         raise ValueError('"box" must be a list of [lo, hi] pairs')
-    return Problem(
-        name=str(data["name"]),
-        variables=tuple(str(v) for v in data["variables"]),
-        objectives=tuple(str(e) for e in data["objectives"]),
-        constraints=tuple(str(e) for e in data.get("constraints", [])),
-        box=tuple((float(lo), float(hi)) for lo, hi in box),
-    )
+    return Problem(**{key: data[key] for key in (*required, "constraints")})
 
 
 def read_json(path: str):

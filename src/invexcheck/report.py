@@ -489,8 +489,8 @@ def verify_report(report: dict) -> list[str]:
     kt_x = add(replay[True], [entry["x"] for entry in kt])
     minimizer_x = add(replay[True], [x for run in runs for x in run["minimizers"]])
     by_replay: dict[_Replay, list[int]] = {}
-    for i, (_, is_kt, _, _) in enumerate(pairs):
-        by_replay.setdefault(replay[is_kt], []).append(i)
+    for i, (_, kind, _, _) in enumerate(pairs):
+        by_replay.setdefault(replay[kind.is_kt], []).append(i)
     pair_x = [
         (points, members, add(points, [
             pairs[i][2][key] for i in members for key in ("xbar", "x")
@@ -648,8 +648,8 @@ def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
     return flags.lines()
 
 
-def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
-    """(path, KT variant, item, label) of every recorded pair verdict; the
+def _pair_entries(report: dict) -> list[tuple[str, InvexityKind, dict, str]]:
+    """(path, group kind, item, label) of every recorded pair verdict; the
     label is a template over the item's keys, filled only for a defect."""
     pairs = []
     # the pairs under an unknown kind are skipped; `_derived_flag_defects` names it
@@ -661,7 +661,7 @@ def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
         for group in ("failures", "kernel_samples"):
             for i, item in enumerate(verdict_data.get(group) or ()):
                 pairs.append(
-                    (f"pair_verdicts.{kind_name}.{group}[{i}]", kind.is_kt, item, label)
+                    (f"pair_verdicts.{kind_name}.{group}[{i}]", kind, item, label)
                 )
     for c, check in enumerate((report.get("crosscheck") or {}).get("checks") or ()):
         kind = _kind(check.get("kind"))
@@ -670,7 +670,7 @@ def _pair_entries(report: dict) -> list[tuple[str, bool, dict, str]]:
         for i, item in enumerate(check.get("kernel_failures") or ()):
             pairs.append((
                 f"crosscheck.checks[{c}].kernel_failures[{i}]",
-                kind.is_kt,
+                kind,
                 item,
                 f"crosscheck {check['kind']} failure pair",
             ))
@@ -703,8 +703,12 @@ def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]
     rows = np.zeros((len(pairs), 2), dtype=int)
     groups: dict[tuple[_Replay, InvexityKind], list[int]] = {}
     for k, (kind, _, _) in enumerate(parsed):
+        path, group_kind, item, _ = pairs[k]
         if kind is None:
-            flags.reject(k, f"{pairs[k][0]}.kind {pairs[k][2]['kind']!r} is not a known kind")
+            flags.reject(k, f"{path}.kind {item['kind']!r} is not a known kind")
+        elif kind is not group_kind:
+            flags.reject(k, f"{path}.kind {item['kind']!r} does not match its group "
+                            f"{group_kind.value!r}")
     for points, members, (handle, misfits) in pair_x:
         for j, found in misfits.items():
             k = members[j // 2]

@@ -70,6 +70,8 @@ def simplex_weights(n: int, step: float = 0.1) -> tuple[WeightVector, ...]:
     """All weight vectors on the simplex lattice with the given spacing."""
     if n < 1:
         raise ValueError("need at least one objective")
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     levels = int(round(1.0 / step))
     if abs(levels * step - 1.0) > 1e-9 or levels < 1:
         raise ValueError("step must divide 1 evenly")

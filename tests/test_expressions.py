@@ -25,7 +25,6 @@ from invexcheck.expressions import (
     forward,
     parse,
     to_text,
-    validate_smoothness,
 )
 
 X = ("x",)
@@ -208,17 +207,6 @@ def test_polynomial_gradient_matches_finite_differences(coeffs, xv):
     fd = (value_at(expr, [xv + h]) - value_at(expr, [xv - h])) / (2 * h)
     g = gradient_at(expr, [xv])
     assert abs(g[0] - fd) <= 1e-6 * max(1.0, abs(fd))
-
-
-def test_smoothness_accepts_c1_piecewise():
-    report = validate_smoothness(parse(PIECEWISE, X), [(-3.0, 3.0)], samples=50)
-    assert report.ok, report.violations
-
-
-def test_smoothness_flags_abs_kink():
-    report = validate_smoothness(parse("abs(x)", X), [(-1.0, 1.0)], samples=20)
-    assert not report.ok
-    assert any("seam" in v.note for v in report.violations)
 
 
 # -- the scalar walkers, as the reference for the batched forward pass --------

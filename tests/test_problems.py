@@ -148,22 +148,37 @@ def test_without_constraints():
     assert without_constraints(q) is q  # no-op shares the instance
 
 
+_PROBLEM = {"name": "p", "variables": ["x", "y"], "objectives": ["x"],
+            "box": [[0.0, 1.0], [0.0, 1.0]]}
+
+
 def test_problem_dict_round_trip():
     for name in FIXTURES:
         p = fixture(name)
         again = problem_from_dict(problem_to_dict(p))
         assert again == p
+    assert problem_from_dict(_PROBLEM).constraints == ()  # constraints may be absent
 
 
-def test_problem_from_dict_validation():
-    with pytest.raises(ValueError):
-        problem_from_dict([1, 2])
-    with pytest.raises(ValueError):
-        problem_from_dict({"name": "p", "variables": ["x"], "objectives": ["x"]})
-    with pytest.raises(ValueError):
-        problem_from_dict(
-            {"name": "p", "variables": ["x"], "objectives": ["x"], "box": [[0.0]]}
-        )
+@pytest.mark.parametrize(
+    "data,match",
+    [
+        ([1, 2], "JSON object"),
+        ({k: v for k, v in _PROBLEM.items() if k != "box"}, "'box'"),
+        ({**_PROBLEM, "box": [[0.0]]}, '"box"'),
+        ({**_PROBLEM, "box": [[None, 1.0], [0.0, 1.0]]}, '"box"'),
+        ({**_PROBLEM, "box": [[False, True], [0.0, 1.0]]}, '"box"'),
+        ({**_PROBLEM, "name": 7}, '"name"'),
+        ({**_PROBLEM, "variables": 5}, '"variables"'),
+        ({**_PROBLEM, "variables": "xy"}, '"variables"'),
+        ({**_PROBLEM, "objectives": ["x", 1]}, '"objectives"'),
+        ({**_PROBLEM, "constraints": None}, '"constraints"'),
+        ({**_PROBLEM, "constraints": "x"}, '"constraints"'),
+    ],
+)
+def test_problem_from_dict_validation(data, match):
+    with pytest.raises(ValueError, match=match):
+        problem_from_dict(data)
 
 
 def test_load_problem(tmp_path):

@@ -467,6 +467,44 @@ def test_verify_report_names_unknown_kinds(path, value, defect):
     assert verify_report(report) == [defect]
 
 
+def _claim_as_invex_failure(report, where):
+    """Copy the first strict-invex failure (violation 0, which proves no
+    invexity failure) into an invex group, with the derived flags recomputed;
+    returns the copy's path and the copy."""
+    failure = copy.deepcopy(report["pair_verdicts"]["strict-invex"]["failures"][0])
+    if where == "pair_verdicts":
+        invex = report["pair_verdicts"]["invex"]
+        invex["failures"].append(failure)
+        invex["all_pairs_kernel"] = False
+        return f"pair_verdicts.invex.failures[{len(invex['failures']) - 1}]", failure
+    checks = report["crosscheck"]["checks"]
+    c = next(c for c, check in enumerate(checks) if check["kind"] == "invex")
+    check = checks[c]
+    check["kernel_failures"].append(failure)
+    check["kernel_side"] = False
+    check["agreement"] = check["stationary_side"] == check["kernel_side"]
+    report["crosscheck"]["agreement"] = all(check["agreement"] for check in checks)
+    return f"crosscheck.checks[{c}].kernel_failures[{len(check['kernel_failures']) - 1}]", failure
+
+
+@pytest.mark.parametrize("where", ["pair_verdicts", "crosscheck"])
+def test_verify_report_checks_pair_kind_against_its_group(where):
+    report = oracle_report("paper-example-2.1")
+    path, failure = _claim_as_invex_failure(report, where)
+    assert failure["certificate"]["violation"] == 0
+    assert verify_report(report) == [
+        f"{path}.kind 'strict-invex' does not match its group 'invex'"
+    ]
+    # replayed under its group's kind, the certificate proves nothing
+    failure["kind"] = "invex"
+    label = "invex pair (xbar=[-1], x=[-0.5])"
+    if where == "crosscheck":
+        label = "crosscheck invex failure pair"
+    assert verify_report(report) == [
+        f"{label}: certificate violation 0.000e+00 not strictly negative"
+    ]
+
+
 @pytest.fixture(scope="module")
 def cube_wire():
     """The report of `analyze cube --grid-step 0.25`, as JSON text."""
@@ -673,6 +711,7 @@ def test_cli_usage_errors_exit_1_not_2(capsys):
     # reserves for crosscheck disagreements
     assert run_cli("pair", "cube", "--kind", "invex") == 1
     assert run_cli("no-such-command") == 1
+    assert run_cli("analyze", "cube", "--lambda-grid-step", "0") == 1
     assert run_cli("--help") == 0
     capsys.readouterr()
 
@@ -856,6 +895,14 @@ def test_verify_report_rejects_nan_tolerances(cube_report):
             tolerances[name] = math.nan
     defects = verify_report(wire)
     assert len(defects) == 1 and defects[0].startswith("tolerance block invalid: ")
+
+
+def test_verify_report_rejects_a_null_constraints_list(cube_report):
+    wire = json.loads(canonical_json(cube_report))
+    wire["problem"]["constraints"] = None
+    assert verify_report(wire) == [
+        'embedded problem invalid: "constraints" must be an array of strings'
+    ]
 
 
 def test_cli_rejects_a_nan_tolerance_up_front(capsys, monkeypatch):

@@ -62,6 +62,14 @@ def test_simplex_weights_enumeration():
         assert w.array.sum() == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "step,match", [(0.0, "positive"), (-0.5, "positive"), (0.3, "divide 1 evenly")]
+)
+def test_simplex_weights_refuses_bad_steps(step, match):
+    with pytest.raises(ValueError, match=match):
+        simplex_weights(2, step)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.sampled_from([0.5, 0.25, 0.2, 0.1]))
 def test_simplex_weights_cover_vertices(n, step):
