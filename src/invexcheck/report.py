@@ -1,5 +1,8 @@
 """Analysis-report assembly, canonical JSON emission, and replay verification.
 
+`verify_report` replays a whole report; `validate_pair_verdict` replays one
+pair verdict, by the same code.
+
 Reports are plain dicts shaped for JSON. The emitter is deliberately
 hand-rolled: keys are sorted and every float is printed with 17 significant
 digits, so two runs with identical inputs serialize to identical bytes
@@ -23,14 +26,14 @@ from .invexity import (
     InvexityKind,
     PairVerdict,
     RandomSampler,
-    active_groups,
     certify_domain,
     theorem_crosscheck,
-    validate_evaluated_pairs,
 )
 from .problems import (
     Analysis,
+    PointBatch,
     Problem,
+    as_point,
     evaluate_many,
     problem_from_dict,
     problem_to_dict,
@@ -207,10 +210,13 @@ def build_report(
     """Run the full analysis pipeline and assemble the JSON-shaped report.
 
     The stages share one `Analysis`, so each grid is evaluated once per
-    problem variant and the crosscheck reuses the scans and sweeps.
+    problem variant and the crosscheck reuses the scans and sweeps. The
+    weight lattice is built first, so that an oversized one is refused
+    before any stage runs.
     """
     if pair_sampler is None:
         pair_sampler = GridSampler(0.25)
+    weights = simplex_weights(problem.n_objectives, lambda_grid_step)
     analysis = Analysis(problem, tol)
     timings: dict[str, float] = {}
 
@@ -239,7 +245,7 @@ def build_report(
 
     def run_weightings():
         runs = []
-        for w in simplex_weights(problem.n_objectives, lambda_grid_step):
+        for w in weights:
             sol = solve_weighting(problem, w, grid_step, tol, analysis=analysis)
             runs.append(
                 {
@@ -350,17 +356,9 @@ def _stack(values: list, shape: tuple[int, ...], point: bool = False):
 
 
 def _shape_defect(path: str, found: tuple[int, ...] | None, expected) -> str:
-    if found is None:
+    if found is None or expected == ():
         return f"{path} is not {'a number' if expected == () else 'an array of numbers'}"
     return f"{path} has shape {found}, expected {expected}"
-
-
-def _number(value) -> float:
-    """``value`` as a float, NaN if it is not a number."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return math.nan
 
 
 def _kind(name) -> InvexityKind | None:
@@ -374,7 +372,7 @@ class _Flags:
     """Defect messages of one evidence group, by entry index."""
 
     def __init__(self, count: int):
-        self._by_entry: dict[int, list[str]] = {}
+        self.by_entry: dict[int, list[str]] = {}
         #: entries still to check: not malformed, and past every early exit
         self.ok = np.ones(count, dtype=bool)
 
@@ -382,7 +380,7 @@ class _Flags:
         """Append ``message(k)`` for each entry k in ``where`` (a mask or indices)."""
         where = np.asarray(where)
         for k in np.flatnonzero(where) if where.dtype == bool else where:
-            self._by_entry.setdefault(int(k), []).append(message(int(k)))
+            self.by_entry.setdefault(int(k), []).append(message(int(k)))
 
     def reject(self, k: int, message: str) -> None:
         """Flag entry ``k`` as malformed (once) and check it no further."""
@@ -390,12 +388,145 @@ class _Flags:
             self.add([k], lambda _: message)
             self.ok[k] = False
 
-    def misfit(self, k: int, path: str, found, expected) -> None:
-        """`reject` entry ``k`` for the shape ``found`` of ``path`` (see `_stack`)."""
-        self.reject(k, _shape_defect(path, found, expected))
+    def read(self, values: list, shape: tuple[int, ...], path, entry=None, point=False):
+        """``values`` stacked by `_stack`, and the mask of those that fit.
+
+        Each value i that does not fit rejects the entry ``entry[i]``
+        (default i), named by its path ``path(i)``.
+        """
+        stacked, misfits = _stack(values, shape, point)
+        fits = np.ones(len(values), dtype=bool)
+        for i, found in misfits.items():
+            fits[i] = False
+            self.reject(i if entry is None else entry[i], _shape_defect(path(i), found, shape))
+        return stacked, fits
 
     def lines(self) -> list[str]:
-        return [line for k in sorted(self._by_entry) for line in self._by_entry[k]]
+        return [line for k in sorted(self.by_entry) for line in self.by_entry[k]]
+
+
+def validate_pair_verdict(
+    problem: Problem, verdict: PairVerdict, tol: ToleranceConfig = DEFAULT_TOL
+) -> list[str]:
+    """Replay a verdict's kernel or certificate by direct substitution."""
+    points = [as_point(problem, verdict.xbar), as_point(problem, verdict.x)]
+    batch = evaluate_many(problem, np.array(points), tol)
+    kernel, cert = verdict.kernel, verdict.certificate
+    s, n = problem.dimension, problem.n_objectives
+    (problems,) = validate_evaluated_pairs(
+        batch,
+        verdict.kind,
+        np.array([0]),
+        np.array([1]),
+        has_kernel=np.array([kernel is not None]),
+        eta=np.array([kernel.eta if kernel else np.zeros(s)], dtype=float),
+        margin=np.array([kernel.margin if kernel else 0.0], dtype=float),
+        has_certificate=np.array([cert is not None]),
+        lam=np.array([cert.lam if cert else np.zeros(n)], dtype=float),
+        mu=[None if cert is None or cert.mu is None else np.asarray(cert.mu, dtype=float)],
+        violation=np.array([cert.violation if cert else 0.0], dtype=float),
+        tol=tol,
+    )
+    return problems
+
+
+def active_groups(active: np.ndarray):
+    """(active indices, member positions) for each distinct row of ``active``."""
+    if not active.shape[1]:
+        yield np.zeros(0, dtype=int), np.arange(active.shape[0])
+        return
+    patterns, inverse = np.unique(active, axis=0, return_inverse=True)
+    for p, pattern in enumerate(patterns):
+        yield np.flatnonzero(pattern), np.flatnonzero(inverse.ravel() == p)
+
+
+def validate_evaluated_pairs(
+    batch: PointBatch,
+    kind: InvexityKind,
+    xbar_rows: np.ndarray,
+    x_rows: np.ndarray,
+    *,
+    has_kernel: np.ndarray,
+    eta: np.ndarray,
+    margin: np.ndarray,
+    has_certificate: np.ndarray,
+    lam: np.ndarray,
+    mu: list[np.ndarray | None],
+    violation: np.ndarray,
+    tol: ToleranceConfig = DEFAULT_TOL,
+) -> list[list[str]]:
+    """`validate_pair_verdict` for K verdicts of one kind at once.
+
+    Pair k has x̄ = ``batch`` row ``xbar_rows[k]`` and x = row ``x_rows[k]``.
+    Its kernel (if ``has_kernel[k]``) is η = ``eta[k]`` (shape (K, s)) with
+    ``margin[k]``; its certificate (if ``has_certificate[k]``) is λ =
+    ``lam[k]`` (shape (K, n)), μ = ``mu[k]`` (a 1-d array or None) and
+    ``violation[k]``. Returns each pair's problems in a fixed order; every
+    product is taken pair by pair, so a pair's numbers do not depend on
+    which other pairs share the call.
+    """
+    count = len(xbar_rows)
+    flags = _Flags(count)
+    delta = batch.objective_values[x_rows] - batch.objective_values[xbar_rows]
+    jac = batch.objective_jacobian[xbar_rows]
+    groups = list(active_groups(batch.active[xbar_rows]))
+    jac_g = batch.constraint_jacobian[xbar_rows]
+
+    flags.add(has_kernel & has_certificate,
+              lambda k: "verdict carries both a kernel and a certificate")
+    flags.add(~has_kernel & ~has_certificate,
+              lambda k: "verdict carries neither a kernel nor a certificate")
+
+    slack_min = (delta - (jac @ eta[:, :, None])[:, :, 0]).min(axis=1)
+    if kind.is_strict:
+        flags.add(has_kernel & (margin <= 0),
+                  lambda k: f"strict kernel margin {float(margin[k])!r} not positive")
+        flags.add(has_kernel & (slack_min < margin - tol.strict),
+                  lambda k: f"strict kernel slack {slack_min[k]:.3e} "
+                  f"below margin {margin[k]:.3e}")
+    else:
+        flags.add(has_kernel & (slack_min < -tol.strict),
+                  lambda k: f"kernel row violated by {-float(slack_min[k]):.3e}")
+        flags.add(has_kernel & (margin < 0), lambda k: "kernel margin negative")
+    if kind.is_kt:
+        weak_max = np.full(count, -np.inf)
+        for active, members in groups:
+            if active.size:
+                weak = jac_g[members[:, None], active] @ eta[members][:, :, None]
+                weak_max[members] = weak[:, :, 0].max(axis=1)
+        flags.add(has_kernel & (weak_max > tol.strict),
+                  lambda k: f"active row Jg·η = {weak_max[k]:.3e} > 0")
+
+    flags.add(has_certificate & (lam.min(axis=1) < -tol.strict),
+              lambda k: "certificate weight negative")
+    flags.add(has_certificate & (np.abs(lam.sum(axis=1) - 1.0) > tol.strict),
+              lambda k: "certificate weights not normalized")
+    combo = (lam[:, None, :] @ jac)[:, 0]
+    for active, members in groups:
+        if not active.size:
+            continue
+        # a certificate's μ counts where x̄ has active rows, if its length fits
+        given = [k for k in members if has_certificate[k] and mu[k] is not None]
+        fits = np.array([k for k in given if mu[k].size == active.size], dtype=int)
+        flags.add(np.setdiff1d(given, fits), lambda k: "certificate μ length mismatches active set")
+        if fits.size:
+            stacked = np.array([mu[k] for k in fits])
+            flags.add(fits[stacked.min(axis=1) < -tol.strict], lambda k: "certificate μ negative")
+            jac_active = jac_g[fits[:, None], active]
+            combo[fits] = combo[fits] + (stacked[:, None, :] @ jac_active)[:, 0]
+    resid = np.abs(combo).max(axis=1)
+    flags.add(has_certificate & (resid > tol.strict),
+              lambda k: f"certificate stationarity residual {resid[k]:.3e}")
+    actual = (lam[:, None, :] @ delta[:, :, None])[:, 0, 0]
+    flags.add(has_certificate & (np.abs(actual - violation) > tol.strict),
+              lambda k: f"stored violation {violation[k]:.3e} != recomputed {actual[k]:.3e}")
+    if kind.is_strict:
+        flags.add(has_certificate & (actual > tol.strict),
+                  lambda k: f"strict certificate violation {actual[k]:.3e} positive")
+    else:
+        flags.add(has_certificate & (actual >= -tol.strict),
+                  lambda k: f"certificate violation {actual[k]:.3e} not strictly negative")
+    return [flags.by_entry.get(k, []) for k in range(count)]
 
 
 class _Replay:
@@ -412,14 +543,12 @@ class _Replay:
         self._rows: list[np.ndarray] = []
         self.batch = None
 
-    def add(self, values: list) -> tuple[int, dict]:
-        """Queue ``values``; returns a handle for `rows` and the entries that
-        are not points of the problem, as `_stack` gives them."""
-        points, misfits = _stack(values, (self.problem.dimension,), point=True)
-        fits = np.ones(len(values), dtype=bool)
-        fits[list(misfits)] = False
+    def add(self, flags: _Flags, values: list, path, entry=None) -> int:
+        """Queue the ``values`` that are points of the problem, read by
+        `_Flags.read`; returns a handle for `rows`."""
+        points, fits = flags.read(values, (self.problem.dimension,), path, entry, point=True)
         self._groups.append((points[fits], fits))
-        return len(self._groups) - 1, misfits
+        return len(self._groups) - 1
 
     def evaluate(self) -> None:
         points = np.concatenate([points for points, _ in self._groups])
@@ -476,35 +605,50 @@ def verify_report(report: dict) -> list[str]:
         replay[False] = replay[True]
     first_use: list[_Replay] = []
 
-    def add(points: _Replay, values: list):
+    def add(points: _Replay, flags: _Flags, values: list, path, entry=None) -> int:
         if values:
             first_use.append(points)
-        return points.add(values)
+        return points.add(flags, values, path, entry)
 
     critical = report.get("critical_points") or []
     kt = report.get("kt_points") or []
     runs = report.get("weighting_runs") or []
-    pairs = _pair_entries(report)
-    critical_x = add(replay[False], [entry["x"] for entry in critical])
-    kt_x = add(replay[True], [entry["x"] for entry in kt])
-    minimizer_x = add(replay[True], [x for run in runs for x in run["minimizers"]])
+    minimizers = [x for run in runs for x in run["minimizers"]]
+    starts = np.cumsum([0] + [len(run["minimizers"]) for run in runs])
+    pairs, pair_flags = _pair_entries(report)
+    critical_flags, kt_flags, minimizer_flags = (
+        _Flags(len(entries)) for entries in (critical, kt, minimizers)
+    )
+
+    def minimizer_path(k: int) -> str:
+        r = int(np.searchsorted(starts, k, "right")) - 1
+        return f"weighting_runs[{r}].minimizers[{k - starts[r]}]"
+
+    critical_x = add(replay[False], critical_flags, [entry["x"] for entry in critical],
+                     lambda k: f"critical_points[{k}].x")
+    kt_x = add(replay[True], kt_flags, [entry["x"] for entry in kt], lambda k: f"kt_points[{k}].x")
+    minimizer_x = add(replay[True], minimizer_flags, minimizers, minimizer_path)
     by_replay: dict[_Replay, list[int]] = {}
     for i, (_, kind, _, _) in enumerate(pairs):
         by_replay.setdefault(replay[kind.is_kt], []).append(i)
-    pair_x = [
-        (points, members, add(points, [
-            pairs[i][2][key] for i in members for key in ("xbar", "x")
-        ]))
-        for points, members in by_replay.items()
-    ]
+    pair_x = []
+    for points, members in by_replay.items():
+        def pair_path(j: int, members=members) -> str:
+            return f"{pairs[members[j // 2]][0]}.{('xbar', 'x')[j % 2]}"
+
+        values = [pairs[i][2][key] for i in members for key in ("xbar", "x")]
+        handle = add(points, pair_flags, values, pair_path, np.repeat(members, 2))
+        pair_x.append((points, members, handle))
     # evaluated in the order of first use, so the same error surfaces first
     for points in dict.fromkeys(first_use):
         points.evaluate()
 
-    defects = _stationary_defects(critical, replay[False], critical_x, tol, kt=False)
-    defects += _stationary_defects(kt, replay[True], kt_x, tol, kt=True)
-    defects += _minimizer_defects(runs, replay[True], minimizer_x, tol)
-    defects += _pair_defects(pairs, pair_x, problem, tol)
+    defects = _stationary_defects(critical, critical_flags, replay[False], critical_x, tol,
+                                  kt=False)
+    defects += _stationary_defects(kt, kt_flags, replay[True], kt_x, tol, kt=True)
+    defects += _minimizer_defects(runs, minimizers, starts, minimizer_flags, replay[True],
+                                  minimizer_x, tol)
+    defects += _pair_defects(pairs, pair_flags, pair_x, problem, tol)
     defects += _derived_flag_defects(report)
     return defects
 
@@ -553,15 +697,12 @@ def _structure_defects(values: list, schema, where) -> list[str]:
     return defects
 
 
-def _stationary_defects(entries: list, points: _Replay, added, tol, kt: bool) -> list[str]:
+def _stationary_defects(entries: list, flags: _Flags, points: _Replay, handle: int, tol,
+                        kt: bool) -> list[str]:
     """Replay the critical points, or with ``kt`` the KT points, whose
     feasibility, active set and μ are checked as well."""
-    handle, misfits = added
-    s, n = points.problem.dimension, points.problem.n_objectives
+    n = points.problem.n_objectives
     path, label = ("kt_points", "kt point") if kt else ("critical_points", "critical point")
-    flags = _Flags(len(entries))
-    for k, found in misfits.items():
-        flags.misfit(k, f"{path}[{k}].x", found, (s,))
     ok = flags.ok
     if not ok.any():
         return flags.lines()
@@ -578,23 +719,17 @@ def _stationary_defects(entries: list, points: _Replay, added, tol, kt: bool) ->
         flags.add(mismatch, lambda k: f"kt point {entries[k]['x']}: active set mismatch")
         ok[mismatch] = False
 
-    lam, lam_misfits = _stack([entry["lam"] for entry in entries], (n,))
-    for k, found in lam_misfits.items():
-        flags.misfit(k, f"{path}[{k}].lam", found, (n,))
+    lam, _ = flags.read([entry["lam"] for entry in entries], (n,), lambda k: f"{path}[{k}].lam")
     combo = (lam[:, None, :] @ batch.objective_jacobian[rows])[:, 0]
     mu_negative = np.zeros(len(entries), dtype=bool)
     for indices, members in groups:
-        members = members[ok[members]]
-        mu, mu_misfits = _stack([entries[k]["mu"] for k in members], (indices.size,))
         # an empty μ adds no term, whatever the active set
-        uses = np.full(members.size, indices.size > 0)
-        for j, found in mu_misfits.items():
-            uses[j] = False
-            if found is None or math.prod(found):
-                k = members[j]
-                flags.misfit(k, f"kt_points[{k}].mu", found, (indices.size,))
-        if uses.any():
-            mu, members = mu[uses], members[uses]
+        members = members[[ok[k] and np.asarray(entries[k]["mu"], dtype=object).size > 0
+                           for k in members]]
+        mu, fits = flags.read([entries[k]["mu"] for k in members], (indices.size,),
+                              lambda j: f"kt_points[{members[j]}].mu", members)
+        if indices.size and fits.any():
+            mu, members = mu[fits], members[fits]
             jac_active = batch.constraint_jacobian[rows[members][:, None], indices]
             combo[members] = combo[members] + (mu[:, None, :] @ jac_active)[:, 0]
             mu_negative[members] = mu.min(axis=1) < -tol.strict
@@ -608,15 +743,11 @@ def _stationary_defects(entries: list, points: _Replay, added, tol, kt: bool) ->
     return flags.lines()
 
 
-def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
-    handle, misfits = added
-    s, n = points.problem.dimension, points.problem.n_objectives
-    minimizers = [x for run in runs for x in run["minimizers"]]
-    starts = np.cumsum([0] + [len(run["minimizers"]) for run in runs])
-    flags = _Flags(len(minimizers))
-    for k, found in misfits.items():
-        r = int(np.searchsorted(starts, k, "right")) - 1
-        flags.misfit(k, f"weighting_runs[{r}].minimizers[{k - starts[r]}]", found, (s,))
+def _minimizer_defects(runs: list, minimizers: list, starts: np.ndarray, flags: _Flags,
+                       points: _Replay, handle: int, tol) -> list[str]:
+    """Replay the weighting runs' minimizers, whose run ``r`` holds the
+    entries ``starts[r]:starts[r + 1]``."""
+    n = points.problem.n_objectives
     ok = flags.ok
     if not ok.any():
         return flags.lines()
@@ -629,14 +760,12 @@ def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
         members = members[ok[members]]
         if not members.size:
             continue
-        lam, lam_misfits = _stack([run["lam"]], (n,))
-        if lam_misfits:
-            flags.misfit(members[0], f"weighting_runs[{r}].lam", lam_misfits[0], (n,))
+        # a misfit rejects the run's first minimizer, once
+        lam, _ = flags.read([run["lam"]], (n,), lambda _: f"weighting_runs[{r}].lam", members)
+        value, _ = flags.read([run["value"]], (), lambda _: f"weighting_runs[{r}].value", members)
+        if not ok[members[0]]:
             continue
-        recorded = _number(run["value"])
-        if not math.isfinite(recorded):
-            flags.misfit(members[0], f"weighting_runs[{r}].value", None, ())
-            continue
+        recorded = float(value[0])
         # λ·f(x) per minimizer, with the shapes of a single dot product
         f_values = batch.objective_values[rows[members], :, None]
         values[members] = (lam[:, None, :] @ f_values)[:, 0, 0]
@@ -648,9 +777,11 @@ def _minimizer_defects(runs: list, points: _Replay, added, tol) -> list[str]:
     return flags.lines()
 
 
-def _pair_entries(report: dict) -> list[tuple[str, InvexityKind, dict, str]]:
-    """(path, group kind, item, label) of every recorded pair verdict; the
-    label is a template over the item's keys, filled only for a defect."""
+def _pair_entries(report: dict) -> tuple[list[tuple[str, InvexityKind, dict, str]], _Flags]:
+    """(path, group kind, item, label) of every recorded pair verdict, and
+    their `_Flags`, which reject each pair whose own kind is unknown or not
+    its group's. The label is a template over the item's keys, filled only
+    for a defect."""
     pairs = []
     # the pairs under an unknown kind are skipped; `_derived_flag_defects` names it
     for kind_name, verdict_data in (report.get("pair_verdicts") or {}).items():
@@ -674,76 +805,57 @@ def _pair_entries(report: dict) -> list[tuple[str, InvexityKind, dict, str]]:
                 item,
                 f"crosscheck {check['kind']} failure pair",
             ))
-    return pairs
-
-
-def _parse_pair(item: dict):
-    """(kind, (η, margin) or None, (λ, μ, violation) or None) of one verdict.
-
-    An unknown kind is None and a margin or violation that is not a number
-    is NaN; the vectors are checked by shape later.
-    """
-    kernel = item.get("kernel")
-    if kernel is not None:
-        kernel = (kernel["eta"], _number(kernel["margin"]))
-    cert = item.get("certificate")
-    if cert is not None:
-        cert = (cert["lam"], cert.get("mu"), _number(cert["violation"]))
-    return _kind(item["kind"]), kernel, cert
-
-
-def _pair_defects(pairs: list, pair_x: list, problem: Problem, tol) -> list[str]:
-    s, n = problem.dimension, problem.n_objectives
     flags = _Flags(len(pairs))
-    parsed = [_parse_pair(item) for _, _, item, _ in pairs]
-    kernels = [kernel for _, kernel, _ in parsed]
-    certs = [cert for _, _, cert in parsed]
-    eta, eta_misfits = _stack([k[0] if k else [0.0] * s for k in kernels], (s,))
-    lam, lam_misfits = _stack([c[0] if c else [0.0] * n for c in certs], (n,))
-    rows = np.zeros((len(pairs), 2), dtype=int)
-    groups: dict[tuple[_Replay, InvexityKind], list[int]] = {}
-    for k, (kind, _, _) in enumerate(parsed):
-        path, group_kind, item, _ = pairs[k]
+    for k, (path, group_kind, item, _) in enumerate(pairs):
+        kind = _kind(item["kind"])
         if kind is None:
             flags.reject(k, f"{path}.kind {item['kind']!r} is not a known kind")
         elif kind is not group_kind:
             flags.reject(k, f"{path}.kind {item['kind']!r} does not match its group "
                             f"{group_kind.value!r}")
-    for points, members, (handle, misfits) in pair_x:
-        for j, found in misfits.items():
-            k = members[j // 2]
-            flags.misfit(k, f"{pairs[k][0]}.{('xbar', 'x')[j % 2]}", found, (s,))
+    return pairs, flags
+
+
+def _pair_defects(pairs: list, flags: _Flags, pair_x: list, problem: Problem,
+                  tol) -> list[str]:
+    s, n = problem.dimension, problem.n_objectives
+    kernels = [item.get("kernel") for _, _, item, _ in pairs]
+    certs = [item.get("certificate") for _, _, item, _ in pairs]
+
+    def path(key: str):
+        return lambda k: f"{pairs[k][0]}.{key}"
+
+    eta, _ = flags.read([k["eta"] if k else [0.0] * s for k in kernels], (s,),
+                        path("kernel.eta"))
+    lam, _ = flags.read([c["lam"] if c else [0.0] * n for c in certs], (n,),
+                        path("certificate.lam"))
+    # a certificate's μ is a vector of any length: the replay checks it
+    # against the active set of x̄
+    mu: list[np.ndarray | None] = [None] * len(pairs)
+    for k, cert in enumerate(certs):
+        if cert is None or cert.get("mu") is None:
+            continue
+        try:
+            mu[k] = np.asarray(cert["mu"], dtype=float)
+            found = mu[k].shape if np.isfinite(mu[k]).all() else None
+        except (TypeError, ValueError):
+            found = None
+        if found is None or len(found) != 1:
+            flags.reject(k, _shape_defect(f"{pairs[k][0]}.certificate.mu", found, "a vector"))
+    margin, _ = flags.read([k["margin"] if k else 0.0 for k in kernels], (),
+                           path("kernel.margin"))
+    violation, _ = flags.read([c["violation"] if c else 0.0 for c in certs], (),
+                              path("certificate.violation"))
+    has_kernel = np.array([k is not None for k in kernels], dtype=bool)
+    has_certificate = np.array([c is not None for c in certs], dtype=bool)
+
+    rows = np.zeros((len(pairs), 2), dtype=int)
+    groups: dict[tuple[_Replay, InvexityKind], list[int]] = {}
+    for points, members, handle in pair_x:
         if points.batch is not None:
             rows[members] = points.rows(handle).reshape(-1, 2)
         for k in members:
-            if parsed[k][0] is not None:
-                groups.setdefault((points, parsed[k][0]), []).append(k)
-    for k, found in eta_misfits.items():
-        flags.misfit(k, f"{pairs[k][0]}.kernel.eta", found, (s,))
-    for k, found in lam_misfits.items():
-        flags.misfit(k, f"{pairs[k][0]}.certificate.lam", found, (n,))
-    mu = [None if c is None else c[1] for c in certs]
-    for k, given in enumerate(mu):
-        if given is None:
-            continue
-        try:
-            mu[k] = np.asarray(given, dtype=float)
-            finite = np.isfinite(mu[k]).all()
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
-            flags.misfit(k, f"{pairs[k][0]}.certificate.mu", None, "a vector")
-        elif mu[k].ndim != 1:
-            flags.misfit(k, f"{pairs[k][0]}.certificate.mu", mu[k].shape, "a vector")
-
-    has_kernel = np.array([k is not None for k in kernels], dtype=bool)
-    has_certificate = np.array([c is not None for c in certs], dtype=bool)
-    margin = np.array([k[1] if k else 0.0 for k in kernels])
-    violation = np.array([c[2] if c else 0.0 for c in certs])
-    for k in np.flatnonzero(~np.isfinite(margin)):
-        flags.misfit(k, f"{pairs[k][0]}.kernel.margin", None, ())
-    for k in np.flatnonzero(~np.isfinite(violation)):
-        flags.misfit(k, f"{pairs[k][0]}.certificate.violation", None, ())
+            groups.setdefault((points, pairs[k][1]), []).append(k)
     for (points, kind), group in groups.items():
         group = np.array(group)
         group = group[flags.ok[group]]

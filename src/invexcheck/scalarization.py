@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
@@ -31,6 +31,9 @@ _ARMIJO = 1e-4
 _POLISH_MAX_ITERS = 500
 _POLISH_GRAD_TOL = 1e-8
 _CLUSTER_RADIUS = 1e-6
+
+#: Largest number of weight vectors `simplex_weights` builds.
+MAX_WEIGHTS = 10**5
 
 
 class EmptyFeasibleSetError(ValueError):
@@ -53,31 +56,36 @@ class WeightVector:
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights sum to {arr.sum()!r}, expected 1")
 
-    @classmethod
-    def normalized(cls, values) -> "WeightVector":
-        arr = np.asarray(values, dtype=float)
-        total = arr.sum()
-        if total <= 0 or np.min(arr) < 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        return cls(tuple(arr / total))
-
     @property
     def array(self) -> np.ndarray:
         return np.array(self.lam)
 
 
 def simplex_weights(n: int, step: float = 0.1) -> tuple[WeightVector, ...]:
-    """All weight vectors on the simplex lattice with the given spacing."""
+    """All weight vectors on the simplex lattice with the given spacing.
+
+    The first weight is (1, 0, …, 0) and the last (0, …, 0, 1). A lattice of
+    more than `MAX_WEIGHTS` vectors raises ValueError before any is built.
+    """
     if n < 1:
         raise ValueError("need at least one objective")
     if not step > 0:
         raise ValueError(f"step must be positive, got {step}")
+    if not math.isfinite(1.0 / step):
+        raise ValueError(f"step {step:g} is too small")
     levels = int(round(1.0 / step))
     if abs(levels * step - 1.0) > 1e-9 or levels < 1:
         raise ValueError("step must divide 1 evenly")
+    count = math.comb(levels + n - 1, n - 1)
+    if count > MAX_WEIGHTS:
+        raise ValueError(
+            f"step {step:g} gives {count} weight vectors, "
+            f"more than the limit of {MAX_WEIGHTS}"
+        )
+    # n - 1 bars among levels + n - 1 slots split the levels into n counts
     out = []
-    for slots in combinations_with_replacement(range(n), levels):
-        counts = np.bincount(slots, minlength=n)
+    for bars in reversed(list(combinations(range(levels + n - 1), n - 1))):
+        counts = np.diff((-1, *bars, levels + n - 1)) - 1
         out.append(WeightVector(tuple(counts / levels)))
     return tuple(out)
 

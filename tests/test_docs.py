@@ -1,5 +1,7 @@
-"""The README's library examples and the research scripts still run."""
+"""The README's library examples and the research scripts still run, and
+the package's modules use what they import."""
 
+import ast
 import contextlib
 import inspect
 import io
@@ -43,6 +45,23 @@ def test_all_names_resolve():
     namespace = {}
     exec("from invexcheck import *", namespace)
     assert set(ic.__all__) <= set(namespace)
+
+
+def test_modules_use_their_imports():
+    # __init__.py imports to re-export; a __future__ import is a compiler flag
+    unused = []
+    for path in sorted((ROOT / "src" / "invexcheck").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []
 
 
 @pytest.mark.parametrize(

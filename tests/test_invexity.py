@@ -24,8 +24,6 @@ from invexcheck.invexity import (
     certify_domain,
     certify_pair,
     theorem_crosscheck,
-    validate_evaluated_pairs,
-    validate_pair_verdict,
 )
 from invexcheck.problems import (
     Analysis,
@@ -43,7 +41,12 @@ from invexcheck.scalarization import (
     WeightVector,
     is_global_weighting_solution,
 )
-from invexcheck.report import canonical_json, domain_verdict_to_dict
+from invexcheck.report import (
+    canonical_json,
+    domain_verdict_to_dict,
+    validate_evaluated_pairs,
+    validate_pair_verdict,
+)
 from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, ToleranceConfig
 from invexcheck.stationarity import (
     Multipliers,

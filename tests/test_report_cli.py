@@ -390,6 +390,16 @@ def test_verify_report_names_malformed_entries(name, path, value, defect):
     assert [d for d in defects if d != defect] == []
 
 
+def test_verify_report_names_a_certificate_mu_that_is_not_a_vector():
+    # the reference broadcasts this μ against the active row instead of raising
+    report = oracle_report("capped-concave")
+    _tamper(report, _CAPPED_CERTIFICATE + ("mu",), [[0.5]])
+    assert verify_report(report) == [
+        "pair_verdicts.strict-kt-invex.failures[9].certificate.mu has shape (1, 1), "
+        "expected a vector"
+    ]
+
+
 def test_cli_verify_reports_malformed_entries_as_defects(tmp_path, capsys):
     report = oracle_report("paper-example-2.1")
     report["critical_points"][0]["lam"] = [1.0]
@@ -712,6 +722,11 @@ def test_cli_usage_errors_exit_1_not_2(capsys):
     assert run_cli("pair", "cube", "--kind", "invex") == 1
     assert run_cli("no-such-command") == 1
     assert run_cli("analyze", "cube", "--lambda-grid-step", "0") == 1
+    # weight lattices refused before any stage runs
+    for step, message in (("1e-6", "1000001 weight vectors"), ("1e-320", "too small")):
+        assert run_cli("analyze", "convex-pair", "--grid-step", "0.5",
+                       "--lambda-grid-step", step) == 1
+        assert message in capsys.readouterr().err
     assert run_cli("--help") == 0
     capsys.readouterr()
 

@@ -1,11 +1,14 @@
 """Weighted-sum scalarization, globality grading, weak-efficiency scans."""
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from problemgen import small_polynomial_problems
 
+from invexcheck import scalarization
 from invexcheck.problems import (
     Problem,
     evaluate,
@@ -43,13 +46,6 @@ def test_weight_vector_validation():
         WeightVector(())
 
 
-def test_weight_vector_normalized():
-    w = WeightVector.normalized([2.0, 6.0])
-    assert w.array == pytest.approx([0.25, 0.75])
-    with pytest.raises(ValueError):
-        WeightVector.normalized([0.0, 0.0])
-
-
 def test_simplex_weights_enumeration():
     ws = simplex_weights(2, 0.1)
     assert len(ws) == 11
@@ -68,6 +64,36 @@ def test_simplex_weights_enumeration():
 def test_simplex_weights_refuses_bad_steps(step, match):
     with pytest.raises(ValueError, match=match):
         simplex_weights(2, step)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_simplex_weights_match_multiset_enumeration(n):
+    # the lattice as multisets of `levels` slots, in the order
+    # combinations_with_replacement yields them
+    for levels in range(1, 13):
+        old = [
+            np.bincount(slots, minlength=n) / levels
+            for slots in combinations_with_replacement(range(n), levels)
+        ]
+        new = [w.array for w in simplex_weights(n, 1 / levels)]
+        assert np.array(new).tobytes() == np.array(old).tobytes()
+
+
+def test_simplex_weights_refuses_oversized_lattice_before_enumerating(monkeypatch):
+    def no_combinations(*args, **kwargs):
+        raise AssertionError("lattice enumerated")
+
+    monkeypatch.setattr(scalarization, "combinations", no_combinations)
+    with pytest.raises(ValueError, match="step 1e-06 gives 1000001 weight vectors"):
+        simplex_weights(2, 1e-6)
+    with pytest.raises(ValueError, match="too small"):
+        simplex_weights(2, 1e-320)
+    monkeypatch.undo()
+    monkeypatch.setattr(scalarization, "MAX_WEIGHTS", 66)
+    assert len(simplex_weights(3, 0.1)) == 66
+    monkeypatch.setattr(scalarization, "MAX_WEIGHTS", 65)
+    with pytest.raises(ValueError, match="66 weight vectors"):
+        simplex_weights(3, 0.1)
 
 
 @settings(max_examples=50, deadline=None)
