@@ -28,12 +28,6 @@ class NumericalBreakdownError(RuntimeError):
     """Pivoting could not continue reliably (tiny pivots or iteration cap)."""
 
 
-class _LostBasis(NumericalBreakdownError):
-    """Phase 1 reached a state exact arithmetic rules out: a column that
-    lowers the sum of the artificials without bound, or a singular basis.
-    Rounding after a tiny pivot has corrupted the tableau."""
-
-
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Numeric thresholds shared across the package.
@@ -258,13 +252,11 @@ def _pivot_loop(
     tol: ToleranceConfig,
     counter: list[int],
     allow_unbounded: bool,
-    widest: bool = False,
 ) -> None:
     """Run simplex pivots on tableau T (last row = reduced costs | -objective).
 
     Only the first `ncols` columns may enter. Dantzig's rule picks the
-    entering column, and min-ratio ties leave by the lowest basis index;
-    with `widest`, by the largest pivot first and then the lowest index.
+    entering column, and min-ratio ties leave by the lowest basis index.
     After `degeneracy_streak` pivots without objective movement, ties are
     broken lexicographically instead (Dantzig, Orden & Wolfe 1955): the
     keys are the tied rows of the columns of the basis held at that moment,
@@ -287,13 +279,11 @@ def _pivot_loop(
         if rows.size == 0:
             if allow_unbounded:
                 raise _Unbounded(enter)
-            raise _LostBasis("no admissible pivot row")
+            raise NumericalBreakdownError("no admissible pivot row")
         ties = rows[_ties(rhs[rows] / col[rows])]
         if ties.size == 1:
             leave = int(ties[0])
         elif lex_cols is None:
-            if widest:
-                ties = ties[col[ties] == col[ties].max()]
             leave = int(ties[np.argmin(basis[ties])])
         else:
             leave = _lex_leave(T, basis, ties, col, lex_cols, rank)
@@ -323,26 +313,6 @@ def _reduced_cost_row(matrix: np.ndarray, rhs: np.ndarray, costs: np.ndarray, ba
     return row
 
 
-def _phase1(
-    T: np.ndarray,
-    std: _Standardized,
-    costs: np.ndarray,
-    tol: ToleranceConfig,
-    counter: list[int],
-    widest: bool,
-) -> np.ndarray | None:
-    """Minimize the sum of the artificials on T; a Farkas vector if it stays
-    above tol.feasibility, else None."""
-    _pivot_loop(T, std.basis, costs.size, tol, counter, False, widest=widest)
-    if -T[-1, -1] <= tol.feasibility:
-        return None
-    try:
-        y1 = np.linalg.solve(std.matrix[:, std.basis].T, costs[std.basis])
-    except np.linalg.LinAlgError as exc:
-        raise _LostBasis("singular phase-1 basis") from exc
-    return -std.sigma * y1
-
-
 def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
     """Solve the LP, returning status plus certificates (duals/Farkas/ray)."""
     std = _Standardized(lp)
@@ -358,16 +328,14 @@ def solve_lp(lp: LpProblem, tol: ToleranceConfig = DEFAULT_TOL) -> LpOutcome:
         phase1_costs = np.zeros(N)
         phase1_costs[ns:] = 1.0
         T[-1, :] = _reduced_cost_row(std.matrix, std.rhs, phase1_costs, std.basis)
-        start, start_basis = T.copy(), std.basis.copy()
-        try:
-            farkas = _phase1(T, std, phase1_costs, tol, counter, widest=False)
-        except _LostBasis:
-            # a pivot of 1e-8 tied at ratio 0 with one of 1e-4 scales its row
-            # by 1e8, and the rounding left in the other rows can then pass
-            # for pivots; start over, leaving by the largest tied pivot
-            T[:], std.basis[:] = start, start_basis
-            farkas = _phase1(T, std, phase1_costs, tol, counter, widest=True)
-        if farkas is not None:
+        _pivot_loop(T, std.basis, N, tol, counter, allow_unbounded=False)
+        if -T[-1, -1] > tol.feasibility:
+            basis_matrix = std.matrix[:, std.basis]
+            try:
+                y1 = np.linalg.solve(basis_matrix.T, phase1_costs[std.basis])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdownError("singular phase-1 basis") from exc
+            farkas = -std.sigma * y1
             return LpOutcome(status=LpStatus.INFEASIBLE, farkas_certificate=farkas)
 
     # Drive artificials out of the basis where a structural pivot exists; rows

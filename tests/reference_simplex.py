@@ -157,10 +157,7 @@ def _pivot_loop(
             streak = 0
 
 
-def _loop_with_mask(T, basis, ncols, tol, counter, allow_unbounded, widest=False):
-    # `solve_lp` asks for the widest-pivot rule only to restart a phase 1
-    # that broke down, which the old loop never reaches on the LPs compared
-    assert not widest
+def _loop_with_mask(T, basis, ncols, tol, counter, allow_unbounded):
     _flat[0] = 0
     allowed = np.arange(T.shape[1] - 1) < ncols
     _pivot_loop(T, basis, allowed, tol, counter, allow_unbounded)

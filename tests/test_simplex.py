@@ -148,42 +148,6 @@ def test_basic_artificial_is_not_dropped_from_an_optimum():
         solve_lp(stage2)
 
 
-@pytest.mark.parametrize(
-    "jacobian",
-    [
-        [[1e-8, 1.0], [1.00000001, 0.0]],
-        [[1e-8, 1e-4], [-0.499999999, 0.0]],
-        [[-0.01, 0.0], [1e-8, 3.9999999]],
-    ],
-    ids=["no-pivot-row", "singular-basis", "singular-basis-transposed"],
-)
-def test_phase1_restarts_after_a_tiny_tied_pivot(jacobian, monkeypatch):
-    # the min-max weight LP, v = (λ, t), of two gradients that no weight
-    # balances: phase 1 pivots on 1e-8 at a ratio-0 tie and ends with no
-    # admissible pivot row or a singular basis; the restart leaves by the
-    # largest tied pivot and returns a Farkas vector that replays
-    loop = simplex._pivot_loop
-    widest = []
-
-    def spy(*args, **kwargs):
-        widest.append(kwargs.get("widest", False))
-        return loop(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "_pivot_loop", spy)
-    J = np.array(jacobian)
-    problem = lp(
-        [0.0, 0.0, 1.0],
-        np.vstack([np.hstack([J.T, np.zeros((2, 1))]),
-                   [[1.0, 1.0, 0.0], [1.0, 0.0, -1.0], [0.0, 1.0, -1.0]]]),
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        rows=(ROW_EQ, ROW_EQ, ROW_EQ, ROW_LE, ROW_LE),
-    )
-    out = solve_lp(problem)
-    assert widest == [False, True]
-    assert out.status is LpStatus.INFEASIBLE
-    assert validate_outcome(problem, out) == []
-
-
 def test_dimension_errors():
     with pytest.raises(DimensionMismatchError):
         lp([1, 2], [[1]], [1])
