@@ -19,15 +19,13 @@ from enum import Enum
 
 import numpy as np
 
+from .problems import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 from .simplex import (
-    DEFAULT_TOL,
     ROW_LE,
     VAR_FREE,
-    DimensionMismatchError,
     LpProblem,
     LpStatus,
     NumericalBreakdownError,
-    ToleranceConfig,
     solve_lp,
 )
 

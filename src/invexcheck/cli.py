@@ -18,8 +18,13 @@ import numpy as np
 
 from .alternative import motzkin
 from .expressions import DomainError
-from .invexity import GridSampler, InvexityKind, RandomSampler, certify_pair
+from .invexity import certify_pair
 from .problems import (
+    DEFAULT_TOL,
+    GridSampler,
+    InvexityKind,
+    RandomSampler,
+    ToleranceConfig,
     UnknownFixtureError,
     evaluate,
     fixture,
@@ -27,13 +32,9 @@ from .problems import (
     load_problem,
     read_json,
 )
-from .report import (
-    build_report,
-    canonical_json,
-    pair_verdict_to_dict,
-    verify_report,
-)
-from .simplex import DEFAULT_TOL, NumericalBreakdownError, ToleranceConfig
+from .replay import verify_report
+from .report import build_report, canonical_json, pair_verdict_to_dict
+from .simplex import NumericalBreakdownError
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1

@@ -37,19 +37,21 @@ A disagreement indicates an implementation bug, never new mathematics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .alternative import motzkin
 from .problems import (
+    DEFAULT_TOL,
     Analysis,
     EvaluatedPoint,
     GridSampler,
     InfeasiblePointError,
+    InvexityKind,
     PointBatch,
     Problem,
     RandomSampler,
+    ToleranceConfig,
     use_analysis,
 )
 from .scalarization import (
@@ -58,13 +60,7 @@ from .scalarization import (
     WeightVector,
     grade_weighting_solutions,
 )
-from .simplex import (
-    DEFAULT_TOL,
-    LpStatus,
-    NumericalBreakdownError,
-    ToleranceConfig,
-    solve_lp,
-)
+from .simplex import LpStatus, NumericalBreakdownError, solve_lp
 from .stationarity import (
     StationaryKind,
     StationaryPoint,
@@ -80,21 +76,6 @@ _KERNEL_SAMPLE_LIMIT = 100
 
 class DegeneratePairError(ValueError):
     """A strict kind needs two distinct points."""
-
-
-class InvexityKind(Enum):
-    INVEX = "invex"
-    STRICT_INVEX = "strict-invex"
-    KT_INVEX = "kt-invex"
-    STRICT_KT_INVEX = "strict-kt-invex"
-
-    @property
-    def is_strict(self) -> bool:
-        return self in (InvexityKind.STRICT_INVEX, InvexityKind.STRICT_KT_INVEX)
-
-    @property
-    def is_kt(self) -> bool:
-        return self in (InvexityKind.KT_INVEX, InvexityKind.STRICT_KT_INVEX)
 
 
 @dataclass(frozen=True)

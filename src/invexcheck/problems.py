@@ -1,4 +1,5 @@
-"""Multiobjective problem model: boxes, evaluation, fixtures.
+"""Multiobjective problem model: boxes, evaluation, fixtures, and the
+tolerances and invexity kinds that every other module shares.
 
 A problem minimizes a vector of objectives over a closed box, subject to
 inequality constraints ``g_j(x) <= 0``. Everything downstream (stationarity
@@ -11,13 +12,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
 from .expressions import Expr, forward, parse
-from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
 #: Half-width of the tolerance band around box edges when checking membership,
 #: and the inset used when drawing random samples from the box interior.
@@ -25,6 +26,78 @@ BOX_EDGE_SLACK = 1e-9
 
 #: Largest number of nodes `grid_points` builds.
 MAX_GRID_NODES = 10**7
+
+
+class DimensionMismatchError(ValueError):
+    """Shapes of the problem pieces do not line up."""
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Numeric thresholds shared across the package.
+
+    pivot: entries smaller than this are treated as zero during pivoting.
+    feasibility: constraint violation allowed for a point to count as feasible.
+    duality_gap: allowed |primal - dual| objective gap at optimality.
+    strict: margin below which a strict-inequality system is considered
+        unsatisfied (alternative theorems).
+    active: |g_j(x)| threshold for a constraint to count as active.
+    stationary: allowed residual of multiplier stationarity conditions.
+    value_tie: objective-value difference under which two points are
+        considered to attain the same value on a grid.
+    max_pivots: pivots one `solve_lp` call may take before it gives up.
+    degeneracy_streak: pivots in a row without objective movement after
+        which min-ratio ties are broken lexicographically, which rules out
+        cycling, instead of by the lowest basis index.
+    """
+
+    pivot: float = 1e-9
+    feasibility: float = 1e-8
+    duality_gap: float = 1e-7
+    strict: float = 1e-7
+    active: float = 1e-7
+    stationary: float = 1e-7
+    value_tie: float = 1e-9
+    max_pivots: int = 10_000
+    degeneracy_streak: int = 10
+
+    def __post_init__(self) -> None:
+        # a NaN threshold makes every comparison false and so every check pass
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, int):
+                if not value >= 1:
+                    raise ValueError(f"{f.name} must be at least 1, got {value!r}")
+            elif not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance {f.name} must be finite and nonnegative, got {value!r}"
+                )
+
+
+DEFAULT_TOL = ToleranceConfig()
+
+
+def tolerances_to_dict(tol: ToleranceConfig) -> dict:
+    return {f.name: getattr(tol, f.name) for f in fields(tol)}
+
+
+def tolerances_from_dict(data: dict) -> ToleranceConfig:
+    return ToleranceConfig(**data)
+
+
+class InvexityKind(Enum):
+    INVEX = "invex"
+    STRICT_INVEX = "strict-invex"
+    KT_INVEX = "kt-invex"
+    STRICT_KT_INVEX = "strict-kt-invex"
+
+    @property
+    def is_strict(self) -> bool:
+        return self in (InvexityKind.STRICT_INVEX, InvexityKind.STRICT_KT_INVEX)
+
+    @property
+    def is_kt(self) -> bool:
+        return self in (InvexityKind.KT_INVEX, InvexityKind.STRICT_KT_INVEX)
 
 
 class OutOfBoxError(ValueError):
@@ -160,6 +233,18 @@ def as_point(problem: Problem, x) -> np.ndarray:
     return x
 
 
+def box_violations(problem: Problem, points: np.ndarray) -> dict[int, str]:
+    """The OutOfBoxError message of each row of ``points`` (shape
+    (N, dimension)) that leaves the box by more than the edge slack, by row."""
+    outside = (points < problem.lower - BOX_EDGE_SLACK) | (points > problem.upper + BOX_EDGE_SLACK)
+    messages = {}
+    for row in np.flatnonzero(outside.any(axis=1)).tolist():
+        i = int(np.flatnonzero(outside[row])[0])
+        lo, hi = problem.box[i]
+        messages[row] = f"{problem.variables[i]} = {points[row, i]:.6g} outside [{lo:g}, {hi:g}]"
+    return messages
+
+
 def evaluate_many(
     problem: Problem, points, tol: ToleranceConfig = DEFAULT_TOL
 ) -> PointBatch:
@@ -176,15 +261,11 @@ def evaluate_many(
             f"points have shape {x.shape}, expected (N, {problem.dimension})"
         )
     asts = problem.objective_asts + problem.constraint_asts
-    outside = (x < problem.lower - BOX_EDGE_SLACK) | (x > problem.upper + BOX_EDGE_SLACK)
-    if outside.any():
-        row = int(np.flatnonzero(outside.any(axis=1))[0])
+    outside = box_violations(problem, x)
+    if outside:
+        row = min(outside)
         forward(asts, x[:row])  # a DomainError at an earlier point comes first
-        i = int(np.flatnonzero(outside[row])[0])
-        lo, hi = problem.box[i]
-        raise OutOfBoxError(
-            f"{problem.variables[i]} = {x[row, i]:.6g} outside [{lo:g}, {hi:g}]"
-        )
+        raise OutOfBoxError(outside[row])
     values, jacobian = forward(asts, x)
     n = problem.n_objectives
     g = np.ascontiguousarray(values[:, n:])
@@ -213,8 +294,8 @@ def evaluate(
 
 def _axis_count(lo: float, hi: float, step: float) -> tuple[int, bool]:
     """How many nodes lo + k * step lie in [lo, hi], and whether the last is ``hi``."""
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"grid step must be a positive finite number, got {step:g}")
     span = (hi - lo) / step + 1e-9
     if not math.isfinite(span):
         raise ValueError(f"grid step {step:g} is too small for the box")

@@ -17,15 +17,17 @@ from itertools import combinations
 import numpy as np
 
 from .problems import (
+    DEFAULT_TOL,
     Analysis,
+    DimensionMismatchError,
     GridSampler,
     InfeasiblePointError,
     Problem,
+    ToleranceConfig,
     as_point,
     evaluate_many,
     use_analysis,
 )
-from .simplex import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
 _ARMIJO = 1e-4
 _POLISH_MAX_ITERS = 500

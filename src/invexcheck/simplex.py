@@ -8,11 +8,12 @@ The solver is deterministic: identical inputs produce bit-identical outputs.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .problems import DEFAULT_TOL, DimensionMismatchError, ToleranceConfig
 
 ROW_LE = "<="
 ROW_EQ = "="
@@ -20,57 +21,8 @@ VAR_NONNEG = "nonneg"
 VAR_FREE = "free"
 
 
-class DimensionMismatchError(ValueError):
-    """Shapes of the problem pieces do not line up."""
-
-
 class NumericalBreakdownError(RuntimeError):
     """Pivoting could not continue reliably (tiny pivots or iteration cap)."""
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numeric thresholds shared across the package.
-
-    pivot: entries smaller than this are treated as zero during pivoting.
-    feasibility: constraint violation allowed for a point to count as feasible.
-    duality_gap: allowed |primal - dual| objective gap at optimality.
-    strict: margin below which a strict-inequality system is considered
-        unsatisfied (alternative theorems).
-    active: |g_j(x)| threshold for a constraint to count as active.
-    stationary: allowed residual of multiplier stationarity conditions.
-    value_tie: objective-value difference under which two points are
-        considered to attain the same value on a grid.
-    max_pivots: pivots one `solve_lp` call may take before it gives up.
-    degeneracy_streak: pivots in a row without objective movement after
-        which min-ratio ties are broken lexicographically, which rules out
-        cycling, instead of by the lowest basis index.
-    """
-
-    pivot: float = 1e-9
-    feasibility: float = 1e-8
-    duality_gap: float = 1e-7
-    strict: float = 1e-7
-    active: float = 1e-7
-    stationary: float = 1e-7
-    value_tie: float = 1e-9
-    max_pivots: int = 10_000
-    degeneracy_streak: int = 10
-
-    def __post_init__(self) -> None:
-        # a NaN threshold makes every comparison false and so every check pass
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, int):
-                if not value >= 1:
-                    raise ValueError(f"{f.name} must be at least 1, got {value!r}")
-            elif not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"tolerance {f.name} must be finite and nonnegative, got {value!r}"
-                )
-
-
-DEFAULT_TOL = ToleranceConfig()
 
 
 class LpStatus(Enum):

@@ -43,23 +43,23 @@ from enum import Enum
 import numpy as np
 
 from .problems import (
+    DEFAULT_TOL,
     Analysis,
     EvaluatedPoint,
     GridSampler,
     InfeasiblePointError,
     PointBatch,
     Problem,
+    ToleranceConfig,
     use_analysis,
 )
 from .simplex import (
-    DEFAULT_TOL,
     ROW_EQ,
     ROW_LE,
     VAR_NONNEG,
     LpProblem,
     LpStatus,
     NumericalBreakdownError,
-    ToleranceConfig,
     solve_lp,
 )
 

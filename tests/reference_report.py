@@ -25,9 +25,9 @@ from invexcheck.problems import (
     as_point,
     evaluate_many,
     problem_from_dict,
+    tolerances_from_dict,
     without_constraints,
 )
-from invexcheck.report import tolerances_from_dict
 from invexcheck.simplex import DEFAULT_TOL, ToleranceConfig
 
 

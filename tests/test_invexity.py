@@ -41,12 +41,8 @@ from invexcheck.scalarization import (
     WeightVector,
     is_global_weighting_solution,
 )
-from invexcheck.report import (
-    canonical_json,
-    domain_verdict_to_dict,
-    validate_evaluated_pairs,
-    validate_pair_verdict,
-)
+from invexcheck.replay import validate_evaluated_pairs, validate_pair_verdict
+from invexcheck.report import canonical_json, domain_verdict_to_dict
 from invexcheck.simplex import DEFAULT_TOL, NumericalBreakdownError, ToleranceConfig
 from invexcheck.stationarity import (
     Multipliers,

@@ -121,6 +121,9 @@ def test_grid_points_refuses_oversized_grid_before_allocating(monkeypatch):
         grid_points(p, 1e-5)
     with pytest.raises(ValueError, match="too small"):
         grid_points(p, 1e-320)
+    for step in ("inf", "nan"):
+        with pytest.raises(ValueError, match=f"positive finite number, got {step}"):
+            grid_points(p, float(step))
     monkeypatch.undo()
     # the limit counts the appended upper edge: 0.3 gives 15 nodes per axis
     monkeypatch.setattr(problems, "MAX_GRID_NODES", 225)

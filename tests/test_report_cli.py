@@ -1,8 +1,10 @@
 """Report serialization, replay verification, and the command-line surface."""
 
 import copy
+import functools
 import json
 import math
+import operator
 import re
 import subprocess
 import sys
@@ -14,13 +16,17 @@ from hypothesis import strategies as st
 
 import invexcheck.cli as cli
 from invexcheck.invexity import GridSampler, InvexityKind
-from invexcheck.problems import Problem, fixture, fixture_names
-from invexcheck.report import (
-    build_report,
-    canonical_json,
-    strip_timings,
-    verify_report,
+from invexcheck.expressions import DomainError
+from invexcheck.problems import (
+    OutOfBoxError,
+    Problem,
+    evaluate,
+    fixture,
+    fixture_names,
+    problem_from_dict,
 )
+from invexcheck.replay import verify_report
+from invexcheck.report import build_report, canonical_json, strip_timings
 from reference_report import reference_canonical_json, reference_verify_report
 
 # -- canonical serializer ------------------------------------------------------
@@ -320,6 +326,11 @@ def test_verify_report_matches_reference_on_shifted_run_values(delta):
     assert verify_report(report) == expected
 
 
+def _dotted(path) -> str:
+    """A report path as `verify_report` names it, e.g. ``kt_points[0].x``."""
+    return "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)[1:]
+
+
 @pytest.mark.parametrize(
     "tampering",
     [
@@ -327,18 +338,29 @@ def test_verify_report_matches_reference_on_shifted_run_values(delta):
         {("kt_points", 0, "x"): [2.5, 0.0], ("weighting_runs", 0, "minimizers", 0): [3.0, 0.0]},
         {("pair_verdicts", "invex", "kernel_samples", 0, "x"): [0.0, 9.0],
          ("pair_verdicts", "kt-invex", "kernel_samples", 0, "x"): [7.0, 0.0]},
+        # 0 / 0 at (0.25, 0) alone; elsewhere values and gradients are unchanged
+        {("problem", "objectives", 0): "x1^2 + x2^2 + 0 / ((x1 - 0.25)^2 + x2^2)"},
     ],
 )
-def test_verify_report_raises_the_reference_error(tampering):
-    # two-var-convex has a constrained and an unconstrained variant: the
-    # error of the variant the reference evaluates first surfaces
+def test_verify_report_names_each_point_the_reference_raises_on(tampering):
+    # the reference stops at the first point it cannot evaluate; the replay
+    # rejects each entry at such a point, by its path, and checks the rest
     report = oracle_report("two-var-convex")
     for path, value in tampering.items():
         _tamper(report, path, value)
-    with pytest.raises(ValueError) as expected:
+    with pytest.raises((OutOfBoxError, DomainError)) as raised:
         reference_verify_report(copy.deepcopy(report))
-    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
-        verify_report(report)
+    problem = problem_from_dict(report["problem"])
+    expected = []
+    for path, how in _tamper_sites(report):
+        if how == "move":
+            try:
+                evaluate(problem, functools.reduce(operator.getitem, path, report))
+            except (OutOfBoxError, DomainError) as exc:
+                expected.append(f"{_dotted(path)}: {exc}")
+    defects = verify_report(report)
+    assert sorted(defects) == sorted(expected)
+    assert any(defect.endswith(f": {raised.value}") for defect in defects)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PROBLEMS))
@@ -560,11 +582,11 @@ def test_verify_report_checks_kt_weights(cube_wire):
 
 @pytest.mark.parametrize("name,variants", [("two-var-convex", 2), ("paper-example-2.1", 1)])
 def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, variants):
-    from invexcheck import problems, report as report_module
+    from invexcheck import problems, replay
 
     report = oracle_report(name)
     calls = []
-    real = report_module.evaluate_many
+    real = replay.evaluate_many
 
     def counted(problem, points, *args, **kwargs):
         calls.append(problem)
@@ -573,7 +595,7 @@ def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, va
     def no_lookup(self, i):
         raise AssertionError("verify_report built an EvaluatedPoint")
 
-    monkeypatch.setattr(report_module, "evaluate_many", counted)
+    monkeypatch.setattr(replay, "evaluate_many", counted)
     monkeypatch.setattr(problems.PointBatch, "point", no_lookup)
     assert verify_report(report) == []
     assert len(calls) == variants == len({p.constraints for p in calls})
@@ -727,6 +749,9 @@ def test_cli_usage_errors_exit_1_not_2(capsys):
         assert run_cli("analyze", "convex-pair", "--grid-step", "0.5",
                        "--lambda-grid-step", step) == 1
         assert message in capsys.readouterr().err
+    for flag in ("--grid-step", "--pair-step"):
+        assert run_cli("analyze", "cube", "--grid-step", "0.5", flag, "inf") == 1
+        assert "grid step must be a positive finite number, got inf" in capsys.readouterr().err
     assert run_cli("--help") == 0
     capsys.readouterr()
 
