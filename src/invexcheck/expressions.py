@@ -16,13 +16,15 @@ integer exponent. Piecewise selects the first branch whose condition holds,
 else the trailing default. Values and gradients come from one forward pass
 over an (N, s) array of points that carries a dual-number tangent column per
 variable; at a piecewise seam the active branch's derivative is used.
+`BinOp`, `Pow` and `Call` nodes keep the source text they were parsed from
+(outside comparisons), which a `DomainError` quotes.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -58,7 +60,7 @@ class DomainError(ArithmeticError):
     """Evaluation hit a pole or an out-of-domain function argument."""
 
     def __init__(self, message: str, node: "Expr"):
-        super().__init__(f"{message} in `{to_text(node)}`")
+        super().__init__(f"{message} in `{node.text}`")
         self.node = node
 
 
@@ -83,18 +85,21 @@ class BinOp:
     op: str  # one of + - * /
     left: "Expr"
     right: "Expr"
+    text: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Pow:
     base: "Expr"
     exponent: int
+    text: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Call:
     func: str
     arg: "Expr"
+    text: str = field(default="", compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
+        self._text = text
         self._tokens = _tokenize(text)
         self._index = 0
         self._vars = {name: i for i, name in enumerate(variables)}
@@ -166,6 +172,11 @@ class _Parser:
             raise ExprSyntaxError(tok.offset, f"expected {text!r}, found {tok.text or 'end of input'!r}")
         return self._advance()
 
+    def _since(self, start: int) -> str:
+        """The source from offset ``start`` to the end of the last token read."""
+        last = self._tokens[self._index - 1]
+        return self._text[start : last.offset + len(last.text)]
+
     def parse(self) -> Expr:
         expr = self._expr()
         tok = self._token
@@ -174,24 +185,24 @@ class _Parser:
         return expr
 
     def _expr(self) -> Expr:
-        node = self._term()
+        start, node = self._token.offset, self._term()
         while self._token.kind == "op" and self._token.text in "+-":
             op = self._advance().text
-            node = BinOp(op, node, self._term())
+            node = BinOp(op, node, self._term(), self._since(start))
         return node
 
     def _term(self) -> Expr:
-        node = self._factor()
+        start, node = self._token.offset, self._factor()
         while self._token.kind == "op" and self._token.text in "*/":
             op = self._advance().text
-            node = BinOp(op, node, self._factor())
+            node = BinOp(op, node, self._factor(), self._since(start))
         return node
 
     def _factor(self) -> Expr:
-        node = self._atom()
+        start, node = self._token.offset, self._atom()
         if self._token.kind == "op" and self._token.text == "^":
             self._advance()
-            node = Pow(node, self._integer())
+            node = Pow(node, self._integer(), self._since(start))
         return node
 
     def _integer(self) -> int:
@@ -228,7 +239,7 @@ class _Parser:
                 self._expect("(")
                 arg = self._expr()
                 self._expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg, self._since(tok.offset))
             if tok.text not in self._vars:
                 raise UnknownVariableError(tok.text, tok.offset)
             return Var(self._vars[tok.text], tok.text)
@@ -255,71 +266,6 @@ class _Parser:
 def parse(text: str, variables: tuple[str, ...] | list[str]) -> Expr:
     """Parse `text` against the ordered variable names."""
     return _Parser(text, tuple(variables)).parse()
-
-
-_PREC_ADD, _PREC_MUL = 1, 2
-
-
-def _paren(text: str) -> str:
-    return f"({text})"
-
-
-def _fmt_const(value: float) -> str:
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
-
-
-def _fmt(node: Expr, prec: int) -> str:
-    if isinstance(node, Const):
-        text = _fmt_const(node.value)
-        return _paren(text) if node.value < 0 else text
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        inner = _fmt(node.arg, 99)
-        if not isinstance(node.arg, (Const, Var, Call, Piecewise, Neg)):
-            inner = _paren(inner)
-        text = f"-{inner}"
-        # '-' binds at atom level; protect from a following '^' stealing the sign
-        return _paren(text) if prec >= 3 else text
-    if isinstance(node, BinOp):
-        mine = _PREC_ADD if node.op in "+-" else _PREC_MUL
-        left = _fmt(node.left, 0)
-        right = _fmt(node.right, 0)
-        if isinstance(node.left, BinOp):
-            lp = _PREC_ADD if node.left.op in "+-" else _PREC_MUL
-            if lp < mine:
-                left = _paren(left)
-        if isinstance(node.right, BinOp):
-            rp = _PREC_ADD if node.right.op in "+-" else _PREC_MUL
-            # a same-precedence right operand keeps its parentheses: float
-            # addition and multiplication are not associative either
-            if rp <= mine:
-                right = _paren(right)
-        text = f"{left} {node.op} {right}"
-        return _paren(text) if prec > mine else text
-    if isinstance(node, Pow):
-        base = _fmt(node.base, 0)
-        if isinstance(node.base, (BinOp, Pow)):
-            base = _paren(base)
-        exponent = str(node.exponent) if node.exponent >= 0 else f"-{-node.exponent}"
-        return f"{base}^{exponent}"
-    if isinstance(node, Call):
-        return f"{node.func}({_fmt(node.arg, 0)})"
-    if isinstance(node, Piecewise):
-        parts = [
-            f"{_fmt(cond.lhs, 0)} {cond.op} {_fmt(cond.rhs, 0)} : {_fmt(value, 0)}"
-            for cond, value in node.branches
-        ]
-        parts.append(_fmt(node.default, 0))
-        return "piecewise(" + "; ".join(parts) + ")"
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def to_text(expr: Expr) -> str:
-    """Render an AST back to concrete syntax that reparses to the same tree."""
-    return _fmt(expr, 0)
 
 
 def _elementwise(fn, values: np.ndarray, *args) -> tuple[np.ndarray, np.ndarray | None]:

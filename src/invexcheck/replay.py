@@ -38,14 +38,14 @@ def _stack(values: list, shape: tuple[int, ...], point: bool = False):
         stacked = np.array(values, dtype=float)
         if stacked.shape == (len(values), *shape) and np.isfinite(stacked).all():
             return stacked, {}
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     stacked = np.zeros((len(values), *shape))
     misfits: dict[int, tuple[int, ...] | None] = {}
     for i, value in enumerate(values):
         try:
             array = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             array = None
         if array is None or not np.isfinite(array).all():
             misfits[i] = None
@@ -134,6 +134,19 @@ def validate_pair_verdict(
     return problems
 
 
+def _finite_rows(products: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` where every entry of the matching row of ``products`` is
+    finite, else NaN: an overflowed product (±inf, or NaN from inf − inf) is
+    no evidence, and every bound in this module is written so that NaN fails."""
+    return np.where(np.isfinite(products).all(axis=1), values, np.nan)
+
+
+def _off_simplex(lam: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the rows of ``lam`` with a weight below −tol, and of those
+    whose sum is off 1 by more than tol (NaN: both)."""
+    return ~(lam.min(axis=1) >= -tol), ~(np.abs(lam.sum(axis=1) - 1.0) <= tol)
+
+
 def active_groups(active: np.ndarray):
     """(active indices, member positions) for each distinct row of ``active``."""
     if not active.shape[1]:
@@ -144,6 +157,7 @@ def active_groups(active: np.ndarray):
         yield np.flatnonzero(pattern), np.flatnonzero(inverse.ravel() == p)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails a bound instead
 def validate_evaluated_pairs(
     batch: PointBatch,
     kind: InvexityKind,
@@ -181,30 +195,30 @@ def validate_evaluated_pairs(
     flags.add(~has_kernel & ~has_certificate,
               lambda k: "verdict carries neither a kernel nor a certificate")
 
-    slack_min = (delta - (jac @ eta[:, :, None])[:, :, 0]).min(axis=1)
+    jac_eta = (jac @ eta[:, :, None])[:, :, 0]
+    slack_min = _finite_rows(jac_eta, (delta - jac_eta).min(axis=1))
     if kind.is_strict:
-        flags.add(has_kernel & (margin <= 0),
+        flags.add(has_kernel & ~(margin > 0),
                   lambda k: f"strict kernel margin {float(margin[k])!r} not positive")
-        flags.add(has_kernel & (slack_min < margin - tol.strict),
+        flags.add(has_kernel & ~(slack_min >= margin - tol.strict),
                   lambda k: f"strict kernel slack {slack_min[k]:.3e} "
                   f"below margin {margin[k]:.3e}")
     else:
-        flags.add(has_kernel & (slack_min < -tol.strict),
+        flags.add(has_kernel & ~(slack_min >= -tol.strict),
                   lambda k: f"kernel row violated by {-float(slack_min[k]):.3e}")
-        flags.add(has_kernel & (margin < 0), lambda k: "kernel margin negative")
+        flags.add(has_kernel & ~(margin >= 0), lambda k: "kernel margin negative")
     if kind.is_kt:
         weak_max = np.full(count, -np.inf)
         for active, members in groups:
             if active.size:
-                weak = jac_g[members[:, None], active] @ eta[members][:, :, None]
-                weak_max[members] = weak[:, :, 0].max(axis=1)
-        flags.add(has_kernel & (weak_max > tol.strict),
+                weak = (jac_g[members[:, None], active] @ eta[members][:, :, None])[:, :, 0]
+                weak_max[members] = _finite_rows(weak, weak.max(axis=1))
+        flags.add(has_kernel & ~(weak_max <= tol.strict),
                   lambda k: f"active row Jg·η = {weak_max[k]:.3e} > 0")
 
-    flags.add(has_certificate & (lam.min(axis=1) < -tol.strict),
-              lambda k: "certificate weight negative")
-    flags.add(has_certificate & (np.abs(lam.sum(axis=1) - 1.0) > tol.strict),
-              lambda k: "certificate weights not normalized")
+    negative, unnormalized = _off_simplex(lam, tol.strict)
+    flags.add(has_certificate & negative, lambda k: "certificate weight negative")
+    flags.add(has_certificate & unnormalized, lambda k: "certificate weights not normalized")
     combo = (lam[:, None, :] @ jac)[:, 0]
     for active, members in groups:
         if not active.size:
@@ -215,20 +229,21 @@ def validate_evaluated_pairs(
         flags.add(np.setdiff1d(given, fits), lambda k: "certificate μ length mismatches active set")
         if fits.size:
             stacked = np.array([mu[k] for k in fits])
-            flags.add(fits[stacked.min(axis=1) < -tol.strict], lambda k: "certificate μ negative")
+            flags.add(fits[~(stacked.min(axis=1) >= -tol.strict)],
+                      lambda k: "certificate μ negative")
             jac_active = jac_g[fits[:, None], active]
             combo[fits] = combo[fits] + (stacked[:, None, :] @ jac_active)[:, 0]
     resid = np.abs(combo).max(axis=1)
-    flags.add(has_certificate & (resid > tol.strict),
+    flags.add(has_certificate & ~(resid <= tol.strict),
               lambda k: f"certificate stationarity residual {resid[k]:.3e}")
     actual = (lam[:, None, :] @ delta[:, :, None])[:, 0, 0]
-    flags.add(has_certificate & (np.abs(actual - violation) > tol.strict),
+    flags.add(has_certificate & ~(np.abs(actual - violation) <= tol.strict),
               lambda k: f"stored violation {violation[k]:.3e} != recomputed {actual[k]:.3e}")
     if kind.is_strict:
-        flags.add(has_certificate & (actual > tol.strict),
+        flags.add(has_certificate & ~(actual <= tol.strict),
                   lambda k: f"strict certificate violation {actual[k]:.3e} positive")
     else:
-        flags.add(has_certificate & (actual >= -tol.strict),
+        flags.add(has_certificate & ~(actual < -tol.strict),
                   lambda k: f"certificate violation {actual[k]:.3e} not strictly negative")
     return [flags.by_entry.get(k, []) for k in range(count)]
 
@@ -420,6 +435,7 @@ def _structure_defects(values: list, schema, where) -> list[str]:
     return defects
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails a bound instead
 def _stationary_defects(entries: list, flags: _Flags, points: _Replay, handle: int, tol,
                         kt: bool) -> list[str]:
     """Replay the critical points, or with ``kt`` the KT points, whose
@@ -455,17 +471,18 @@ def _stationary_defects(entries: list, flags: _Flags, points: _Replay, handle: i
             mu, members = mu[fits], members[fits]
             jac_active = batch.constraint_jacobian[rows[members][:, None], indices]
             combo[members] = combo[members] + (mu[:, None, :] @ jac_active)[:, 0]
-            mu_negative[members] = mu.min(axis=1) < -tol.strict
+            mu_negative[members] = ~(mu.min(axis=1) >= -tol.strict)
     resid = np.abs(combo).max(axis=1)
-    flags.add(ok & (resid > tol.stationary), lambda k: (
+    flags.add(ok & ~(resid <= tol.stationary), lambda k: (
         f"{label} {entries[k]['x']}: residual {resid[k]:.3e}"))
-    invalid = (lam.min(axis=1) < -tol.strict) | (np.abs(lam.sum(axis=1) - 1) > tol.strict)
+    invalid = np.logical_or(*_off_simplex(lam, tol.strict))
     flags.add(ok & invalid, lambda k: f"{label} {entries[k]['x']}: weights invalid")
     flags.add(ok & mu_negative, lambda k: (
         f"kt point {entries[k]['x']}: negative constraint multiplier"))
     return flags.lines()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow fails a bound instead
 def _minimizer_defects(runs: list, minimizers: list, starts: np.ndarray, flags: _Flags,
                        points: _Replay, handle: int, tol) -> list[str]:
     """Replay the weighting runs' minimizers, whose run ``r`` holds the
@@ -488,12 +505,14 @@ def _minimizer_defects(runs: list, minimizers: list, starts: np.ndarray, flags: 
         value, _ = flags.read([run["value"]], (), lambda _: f"weighting_runs[{r}].value", members)
         if not ok[members[0]]:
             continue
+        if np.logical_or(*_off_simplex(lam, tol.strict))[0]:
+            flags.add(members[:1], lambda _: f"weighting_runs[{r}]: weights invalid")
         recorded = float(value[0])
         # λ·f(x) per minimizer, with the shapes of a single dot product
         f_values = batch.objective_values[rows[members], :, None]
         values[members] = (lam[:, None, :] @ f_values)[:, 0, 0]
         low, high = recorded - tol.strict, recorded + 1e-6
-        off = (values[members] < low) | (values[members] > high)
+        off = ~((values[members] >= low) & (values[members] <= high))
         flags.add(members[off], lambda k: (
             f"weighting minimizer {minimizers[k]}: value {values[k]:.6e} "
             f"!= recorded {recorded:.6e}"))
@@ -561,7 +580,7 @@ def _pair_defects(pairs: list, flags: _Flags, pair_x: list, problem: Problem,
         try:
             mu[k] = np.asarray(cert["mu"], dtype=float)
             found = mu[k].shape if np.isfinite(mu[k]).all() else None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             found = None
         if found is None or len(found) != 1:
             flags.reject(k, _shape_defect(f"{pairs[k][0]}.certificate.mu", found, "a vector"))

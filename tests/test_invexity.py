@@ -223,6 +223,18 @@ def test_validate_pair_verdict_catches_tampering():
     assert validate_pair_verdict(fixture("cube"), verdict) != []
 
 
+def test_validate_pair_verdict_fails_an_overflowing_kernel():
+    # Jf·η = 0.4e308 > Δf = 0, but a sum taken in order overflows to -inf
+    # after two terms, and a slack of +inf would pass every bound
+    problem = Problem(name="sum4", variables=("a", "b", "c", "d"),
+                      objectives=("a + b + c + d",), constraints=(), box=((-1.0, 1.0),) * 4)
+    eta = np.array([-1.5e308, -1.5e308, 1.7e308, 1.7e308])
+    verdict = PairVerdict(InvexityKind.INVEX, np.zeros(4), np.zeros(4),
+                          KernelWitness(eta, 0.0), None)
+    (defect,) = validate_pair_verdict(problem, verdict)
+    assert defect.startswith("kernel row violated by ")
+
+
 def test_domain_sweep_counts_cube():
     dv = certify_domain(fixture("cube"), InvexityKind.INVEX, GridSampler(0.25))
     assert not dv.all_pairs_kernel

@@ -246,10 +246,11 @@ def _entry_of(path):
 
 
 def _is_added_kind(defect: str) -> bool:
-    """The defects that the reference does not report: recomputed counts and
-    malformed shapes, which made it raise."""
+    """The defects that the reference does not report: recomputed counts,
+    weighting-run weights, and malformed shapes, which made it raise."""
     return "stationary_count" in defect or re.search(
-        r" has shape \(|is not an array of numbers", defect
+        r" has shape \(|is not an array of numbers|^weighting_runs\[\d+\]: weights invalid",
+        defect,
     ) is not None
 
 
@@ -464,6 +465,9 @@ _STRICT_CERTIFICATE = ("pair_verdicts", "strict-invex", "failures", 0, "certific
          "kt_points[5].mu is not an array of numbers"),
         ("capped-concave", _CAPPED_CERTIFICATE + ("mu",), [None],
          "pair_verdicts.strict-kt-invex.failures[9].certificate.mu is not an array of numbers"),
+        # a JSON integer beyond the float range
+        ("paper-example-2.1", ("weighting_runs", 1, "lam"), [10**400, 0],
+         "weighting_runs[1].lam is not an array of numbers"),
     ],
 )
 def test_verify_report_names_non_finite_entries(name, path, value, defect):
@@ -580,6 +584,37 @@ def test_verify_report_checks_kt_weights(cube_wire):
     assert verify_report(report) == ["kt point [1.5]: weights invalid"]
 
 
+@pytest.fixture(scope="module")
+def two_var_wire():
+    """The report of `analyze two-var-convex --grid-step 0.5 --pair-step 1.0`."""
+    return canonical_json(build_report(fixture("two-var-convex"), grid_step=0.5,
+                                       pair_sampler=GridSampler(1.0)))
+
+
+#: edits that each verified clean while a product overflowed to NaN, or
+#: while a weighting run's λ was not a weight vector; run 3 has λ = (0.7, 0.3)
+#: and the one minimizer (0.3, 0), where f = (0.09, 0.49)
+_UNSOUND = [
+    # x̄ = x = (-2, -2): row 2 of Jf(x̄)·η is 6e308 - 4e308 > Δf = 0
+    (lambda r: _tamper(r, ("pair_verdicts", "invex", "kernel_samples", 0, "kernel", "eta"),
+                       [-1e308, 1e308]),
+     "invex pair (xbar=[-2, -2], x=[-2, -2]): kernel row violated by nan"),
+    (lambda r: r["weighting_runs"][3].update(lam=[-1.0, 2.0], value=-0.09 + 2 * 0.49),
+     "weighting_runs[3]: weights invalid"),
+    (lambda r: r["weighting_runs"][3].update(lam=[2.1, 0.9], value=0.63),
+     "weighting_runs[3]: weights invalid"),
+]
+
+
+@pytest.mark.parametrize("edit,defect", _UNSOUND, ids=["overflow", "negative", "tripled"])
+def test_verify_report_names_unsound_evidence(two_var_wire, edit, defect):
+    report = json.loads(two_var_wire)
+    assert report["weighting_runs"][3]["lam"] == [0.7, 0.3]
+    assert verify_report(report) == []
+    edit(report)
+    assert verify_report(report) == [defect]
+
+
 @pytest.mark.parametrize("name,variants", [("two-var-convex", 2), ("paper-example-2.1", 1)])
 def test_verify_report_evaluates_each_variant_in_one_batch(monkeypatch, name, variants):
     from invexcheck import problems, replay
@@ -658,6 +693,37 @@ def test_cli_analyze_power_overflow_is_an_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: power overflow in `x^200`")
+
+
+def test_cli_analyze_domain_error_quotes_the_source(tmp_path, capsys):
+    path = tmp_path / "ln-edge.json"
+    path.write_text(json.dumps({
+        "name": "ln-edge",
+        "variables": ["x"],
+        "objectives": ["ln(x+1)", "x^2"],
+        "box": [[-1, 1]],
+    }))
+    assert run_cli("analyze", str(path)) == 1
+    assert capsys.readouterr().err == "error: ln of a nonpositive value in `ln(x+1)`\n"
+
+
+def test_cli_analyze_random_pair_sampler_is_reproducible(tmp_path, capsys):
+    argv = ["analyze", "kt-linear-quad", "--grid-step", "0.25", "--pair-sampler", "random",
+            "--pair-count", "20", "--seed", "5"]
+    reports = []
+    for _ in range(2):
+        assert run_cli(*argv) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    first, second = (strip_timings(report) for report in reports)
+    assert canonical_json(first) == canonical_json(second)
+    assert first["config"]["pair_sampler"] == "random(count=20, seed=5)"
+    # the crosscheck's grid falls back to step 0.25 under a random sampler
+    assert first["crosscheck"]["pair_step"] == 0.25
+    sampled = {kind: v["points_sampled"] for kind, v in first["pair_verdicts"].items()}
+    assert (sampled["invex"], sampled["kt-invex"]) == (20, 9)
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(reports[0]))
+    assert run_cli("verify", str(path)) == 0
 
 
 def test_cli_analyze_nan_multipliers_are_an_input_error(tmp_path, capsys):
@@ -861,6 +927,20 @@ def test_cli_verify_recomputes_derived_flags(tmp_path, capsys):
     assert code == 1
     assert "all_pairs_kernel" in err
     assert "crosscheck: agreement" in err
+
+
+@pytest.mark.parametrize("edit,defect", _UNSOUND, ids=["overflow", "negative", "tripled"])
+def test_cli_verify_names_unsound_evidence(tmp_path, capsys, edit, defect):
+    path = tmp_path / "r.json"
+    assert run_cli("analyze", "two-var-convex", "--grid-step", "0.5", "--pair-step", "1.0",
+                   "-o", str(path)) == 0
+    report = json.loads(path.read_text())
+    edit(report)
+    path.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run_cli("verify", str(path)) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"defect: {defect}\n")
 
 
 def test_cli_verify_missing_report(tmp_path, capsys):
